@@ -4,6 +4,9 @@ Closed-form laminar-flow solutions for five axisymmetric corrugation
 profiles, an adaptive-quadrature evaluator of the underlying integral that
 doubles as an independent check on them, and series/parallel composition
 of tubes into hydraulic networks.
+
+The quadrature exports load on first access (PEP 562), because they need
+numpy: ``import capflow`` and the closed forms run without it.
 """
 
 from .analytic import (
@@ -20,6 +23,7 @@ from .analytic import (
 from .errors import (
     CapillaryFlowError,
     EmptyCompositeError,
+    GeometryRangeError,
     NetworkSpecError,
     NonPositiveLengthError,
     NonPositiveRadiusError,
@@ -32,6 +36,7 @@ from .errors import (
     TooFewSamplesError,
 )
 from .geometry import (
+    CORRUGATED,
     ProfileTable,
     RadiusProfile,
     ShapeKind,
@@ -51,18 +56,6 @@ from .network import (
     network_pressure_drop,
     network_resistance,
 )
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    QuadratureResult,
-    VerificationReport,
-    adaptive_integrate,
-    integrate_inverse_r4,
-    numeric_pressure_drop,
-    random_profile,
-    verification_sweep,
-    verify_analytic,
-)
 
 __version__ = "0.1.0"
 
@@ -70,6 +63,7 @@ __all__ = [
     "__version__",
     # geometry
     "ShapeKind",
+    "CORRUGATED",
     "RadiusProfile",
     "ShapeParameters",
     "ProfileTable",
@@ -116,8 +110,37 @@ __all__ = [
     "NonPositiveViscosityError",
     "SignMismatchError",
     "OutOfDomainError",
+    "GeometryRangeError",
     "TooFewSamplesError",
     "EmptyCompositeError",
     "NotConvergedError",
     "NetworkSpecError",
 ]
+
+_QUADRATURE_EXPORTS = frozenset(
+    {
+        "DEFAULT_CONFIG",
+        "QuadratureConfig",
+        "QuadratureResult",
+        "VerificationReport",
+        "adaptive_integrate",
+        "integrate_inverse_r4",
+        "numeric_pressure_drop",
+        "random_profile",
+        "verification_sweep",
+        "verify_analytic",
+    }
+)
+
+
+def __getattr__(name: str):
+    """Serve the quadrature exports, loading numpy with them on first access."""
+    if name in _QUADRATURE_EXPORTS:
+        from . import quadrature
+
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _QUADRATURE_EXPORTS)

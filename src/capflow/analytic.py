@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    GeometryRangeError,
     NonPositiveLengthError,
     NonPositiveRadiusError,
     NonPositiveViscosityError,
@@ -129,45 +130,62 @@ def _cosh_bracket(w: float) -> float:
 
 
 def inverse_r4_integral(profile: RadiusProfile) -> float:
-    """Closed-form I = integral of dx/r(x)^4 over [-L/2, L/2], in 1/m^3."""
+    """Closed-form I = integral of dx/r(x)^4 over [-L/2, L/2], in 1/m^3.
+
+    Raises GeometryRangeError when the closed form does not give a
+    positive finite double: float division by an underflowed zero and a
+    power that overflows raise, while other steps quietly give 0 or inf.
+    """
     rmin, rmax, length = profile.r_min, profile.r_max, profile.length
     kind = profile.kind
 
-    if kind is ShapeKind.STRAIGHT:
-        return length / rmin ** 4
+    try:
+        if kind is ShapeKind.STRAIGHT:
+            value = length / rmin ** 4
 
-    if kind is ShapeKind.CONICAL:
-        num = rmax * rmax + rmax * rmin + rmin * rmin
-        return (length / 3.0) * num / (rmin ** 3 * rmax ** 3)
+        elif kind is ShapeKind.CONICAL:
+            num = rmax * rmax + rmax * rmin + rmin * rmin
+            value = (length / 3.0) * num / (rmin ** 3 * rmax ** 3)
 
-    if kind is ShapeKind.PARABOLIC:
-        u = (rmax - rmin) / rmin
-        bracket = (
-            1.0 / (3.0 * rmin * rmax ** 3)
-            + 5.0 / (12.0 * rmin ** 2 * rmax ** 2)
-            + 5.0 / (8.0 * rmin ** 3 * rmax)
-            + 5.0 * _arctan_bracket(u) / (8.0 * rmin ** 4)
+        elif kind is ShapeKind.PARABOLIC:
+            u = (rmax - rmin) / rmin
+            bracket = (
+                1.0 / (3.0 * rmin * rmax ** 3)
+                + 5.0 / (12.0 * rmin ** 2 * rmax ** 2)
+                + 5.0 / (8.0 * rmin ** 3 * rmax)
+                + 5.0 * _arctan_bracket(u) / (8.0 * rmin ** 4)
+            )
+            value = 0.5 * length * bracket
+
+        elif kind is ShapeKind.HYPERBOLIC:
+            # exact gap product, see geometry.shape_parameters
+            v = (rmax - rmin) * (rmax + rmin) / (rmin * rmin)
+            bracket = 1.0 / (rmin * rmin * rmax * rmax) + _arctan_bracket(v) / rmin ** 4
+            value = 0.5 * length * bracket
+
+        elif kind is ShapeKind.HYPERBOLIC_COSINE:
+            w = _acosh_of_ratio(rmax, rmin)
+            value = (length / 3.0) * _cosh_bracket(w) / rmin ** 4
+
+        elif kind is ShapeKind.SINUSOIDAL:
+            rsum = rmax + rmin
+            rdiff = rmax - rmin
+            num = 2.0 * rsum ** 3 + 3.0 * rsum * rdiff * rdiff
+            rprod = rmax * rmin
+            value = length * num / (16.0 * rprod ** 3 * math.sqrt(rprod))
+
+        else:
+            raise AssertionError(f"unhandled shape kind {kind!r}")
+    except (ZeroDivisionError, OverflowError):
+        value = math.nan
+
+    # One comparison: false for 0, inf and nan alike.
+    if not 0.0 < value < math.inf:
+        raise GeometryRangeError(
+            f"closed-form I = integral dx/r^4 is not a positive finite double "
+            f"for {kind.value} tube r_min={rmin!r}, r_max={rmax!r}, length={length!r}"
         )
-        return 0.5 * length * bracket
-
-    if kind is ShapeKind.HYPERBOLIC:
-        # exact gap product, see geometry.shape_parameters
-        v = (rmax - rmin) * (rmax + rmin) / (rmin * rmin)
-        bracket = 1.0 / (rmin * rmin * rmax * rmax) + _arctan_bracket(v) / rmin ** 4
-        return 0.5 * length * bracket
-
-    if kind is ShapeKind.HYPERBOLIC_COSINE:
-        w = _acosh_of_ratio(rmax, rmin)
-        return (length / 3.0) * _cosh_bracket(w) / rmin ** 4
-
-    if kind is ShapeKind.SINUSOIDAL:
-        rsum = rmax + rmin
-        rdiff = rmax - rmin
-        num = 2.0 * rsum ** 3 + 3.0 * rsum * rdiff * rdiff
-        rprod = rmax * rmin
-        return length * num / (16.0 * rprod ** 3 * math.sqrt(rprod))
-
-    raise AssertionError(f"unhandled shape kind {kind!r}")
+    return value
 
 
 def poiseuille_pressure_drop(radius: float, length: float, flow_rate: float, fluid: Fluid) -> float:

@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/validation error,
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import csv
 import io
@@ -30,9 +31,8 @@ import click
 
 from .analytic import Fluid, flow_rate, hydraulic_resistance, pressure_drop
 from .errors import CapillaryFlowError, NetworkSpecError
-from .geometry import RadiusProfile, ShapeKind, make_profile, sample_profile
+from .geometry import CORRUGATED, RadiusProfile, ShapeKind, make_profile, sample_profile
 from .network import NetworkElement, Parallel, Series, Tube, network_resistance
-from .quadrature import QuadratureConfig, verification_sweep
 
 __all__ = ["main", "OutputFormat", "parse_network_text"]
 
@@ -45,13 +45,6 @@ class OutputFormat(enum.Enum):
 
 _SHAPE_TOKENS = [kind.value for kind in ShapeKind]
 _TOKEN_TO_KIND = {kind.value: kind for kind in ShapeKind}
-_CORRUGATED = [
-    ShapeKind.CONICAL,
-    ShapeKind.PARABOLIC,
-    ShapeKind.HYPERBOLIC,
-    ShapeKind.HYPERBOLIC_COSINE,
-    ShapeKind.SINUSOIDAL,
-]
 
 # Unit tokens used in plain lines and JSON records.
 _U_PRESSURE = "Pa"
@@ -92,16 +85,11 @@ def _require_finite(flag: str, value: float) -> None:
         raise click.UsageError(f"{flag} must be finite, got {value!r}")
 
 
-def _build_profile(shape: str, rmin: float, rmax: float, length: float) -> RadiusProfile:
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a library validation error as a usage error (exit 2)."""
     try:
-        return make_profile(_TOKEN_TO_KIND[shape], rmin, rmax, length)
-    except CapillaryFlowError as exc:
-        raise click.UsageError(f"{type(exc).__name__}: {exc}") from exc
-
-
-def _build_fluid(viscosity: float) -> Fluid:
-    try:
-        return Fluid(viscosity)
+        yield
     except CapillaryFlowError as exc:
         raise click.UsageError(f"{type(exc).__name__}: {exc}") from exc
 
@@ -155,9 +143,10 @@ def _tube_record(profile: RadiusProfile, viscosity: float) -> dict:
 def cmd_pdrop(shape, rmin, rmax, length, viscosity, flow, fmt):
     """Pressure drop across one tube at flow rate Q."""
     _require_finite("--flow", flow)
-    profile = _build_profile(shape, rmin, rmax, length)
-    fluid = _build_fluid(viscosity)
-    value = pressure_drop(profile, flow, fluid)
+    with _usage_errors():
+        profile = make_profile(_TOKEN_TO_KIND[shape], rmin, rmax, length)
+        fluid = Fluid(viscosity)
+        value = pressure_drop(profile, flow, fluid)
 
     if fmt == OutputFormat.PLAIN.value:
         out = f"pressure_drop {_num(value)} {_U_PRESSURE}\n"
@@ -182,9 +171,10 @@ def cmd_pdrop(shape, rmin, rmax, length, viscosity, flow, fmt):
 def cmd_qflow(shape, rmin, rmax, length, viscosity, pressure, fmt):
     """Flow rate through one tube at pressure drop P."""
     _require_finite("--pressure", pressure)
-    profile = _build_profile(shape, rmin, rmax, length)
-    fluid = _build_fluid(viscosity)
-    value = flow_rate(profile, pressure, fluid)
+    with _usage_errors():
+        profile = make_profile(_TOKEN_TO_KIND[shape], rmin, rmax, length)
+        fluid = Fluid(viscosity)
+        value = flow_rate(profile, pressure, fluid)
 
     if fmt == OutputFormat.PLAIN.value:
         out = f"flow_rate {_num(value)} {_U_FLOW}\n"
@@ -214,11 +204,8 @@ def cmd_qflow(shape, rmin, rmax, length, viscosity, pressure, fmt):
 )
 def cmd_profile(shape, rmin, rmax, length, samples, fmt, out_path):
     """Uniformly sampled (x, r) table over [-L/2, L/2]."""
-    profile = _build_profile(shape, rmin, rmax, length)
-    try:
-        table = sample_profile(profile, samples)
-    except CapillaryFlowError as exc:
-        raise click.UsageError(f"{type(exc).__name__}: {exc}") from exc
+    with _usage_errors():
+        table = sample_profile(make_profile(_TOKEN_TO_KIND[shape], rmin, rmax, length), samples)
 
     if fmt == OutputFormat.JSON.value:
         out = _json_doc(
@@ -248,7 +235,7 @@ def cmd_profile(shape, rmin, rmax, length, samples, fmt, out_path):
 
 def _parse_shape_list(shapes: str) -> list[ShapeKind]:
     if shapes.strip() == "all":
-        return list(_CORRUGATED)
+        return list(CORRUGATED)
     kinds = []
     for token in shapes.split(","):
         token = token.strip()
@@ -276,6 +263,8 @@ def _parse_shape_list(shapes: str) -> list[ShapeKind]:
 @_format_option
 def cmd_verify(shapes, trials, tol, seed, fmt):
     """Check the closed forms against adaptive quadrature on random tubes."""
+    from .quadrature import QuadratureConfig, verification_sweep
+
     if not (tol > 0.0) or not math.isfinite(tol):
         raise click.UsageError(f"--tol must be positive and finite, got {tol!r}")
     kinds = _parse_shape_list(shapes)
@@ -429,15 +418,17 @@ def parse_network_text(text: str) -> NetworkElement:
     """Parse a network spec document (JSON) into a NetworkElement tree.
 
     Raises NetworkSpecError with a document location on any syntax or
-    validation problem.
+    validation problem, including nesting deeper than the recursive
+    decoder and parser can follow (a few hundred levels).
     """
     try:
-        doc = json.loads(text)
+        return _parse_network_node(json.loads(text), "$")
     except json.JSONDecodeError as exc:
         raise NetworkSpecError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
         ) from exc
-    return _parse_network_node(doc, "$")
+    except RecursionError as exc:
+        raise NetworkSpecError("nesting too deep to parse", "$") from exc
 
 
 @cli.command("network")
@@ -455,7 +446,8 @@ def cmd_network(file, viscosity, flow, pressure, fmt):
     """
     if (flow is None) == (pressure is None):
         raise click.UsageError("exactly one of --flow or --pressure is required")
-    fluid = _build_fluid(viscosity)
+    with _usage_errors():
+        fluid = Fluid(viscosity)
     try:
         with open(file, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -467,7 +459,11 @@ def cmd_network(file, viscosity, flow, pressure, fmt):
     except NetworkSpecError as exc:
         raise click.UsageError(str(exc)) from exc
 
-    res = network_resistance(element, fluid)
+    with _usage_errors():
+        try:
+            res = network_resistance(element, fluid)
+        except RecursionError as exc:
+            raise click.UsageError("$: nesting too deep to evaluate") from exc
     if flow is not None:
         _require_finite("--flow", flow)
         dual_name, dual_value, dual_unit = "pressure_drop", res.resistance * flow, _U_PRESSURE

@@ -40,6 +40,14 @@ class OutOfDomainError(CapillaryFlowError, ValueError):
     """An axial position fell outside [-L/2, L/2]."""
 
 
+class GeometryRangeError(CapillaryFlowError, ValueError):
+    """The closed form for I = integral dx/r^4 gave no positive finite double.
+
+    The radii and length are valid on their own, but evaluating the closed
+    form for this combination of them under- or overflows double precision.
+    """
+
+
 class TooFewSamplesError(CapillaryFlowError, ValueError):
     """A profile table was requested with fewer than two samples."""
 

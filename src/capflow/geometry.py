@@ -13,6 +13,9 @@ at both ends, following one of five corrugation profiles:
 
 plus the straight tube r(x) = R as the baseline.  The sinusoidal tube spans
 exactly one full wavelength.  All quantities are SI (metres).
+
+numpy is imported by the functions that build arrays, not by this module,
+so the closed forms and networks that only need profiles never load it.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import (
     NonPositiveLengthError,
@@ -33,9 +34,13 @@ from .errors import (
     TooFewSamplesError,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "DOMAIN_TOLERANCE",
     "ShapeKind",
+    "CORRUGATED",
     "RadiusProfile",
     "ShapeParameters",
     "ProfileTable",
@@ -60,6 +65,17 @@ class ShapeKind(enum.Enum):
     HYPERBOLIC = "hyperbolic"
     HYPERBOLIC_COSINE = "cosh"
     SINUSOIDAL = "sinusoidal"
+
+
+# Every shape except the straight baseline, in declaration order: the
+# shapes with a corrugation for the closed forms and the oracle to check.
+CORRUGATED = (
+    ShapeKind.CONICAL,
+    ShapeKind.PARABOLIC,
+    ShapeKind.HYPERBOLIC,
+    ShapeKind.HYPERBOLIC_COSINE,
+    ShapeKind.SINUSOIDAL,
+)
 
 
 @dataclass(frozen=True)
@@ -175,6 +191,8 @@ def shape_parameters(profile: RadiusProfile) -> ShapeParameters:
 
 def _evaluate(profile: RadiusProfile, x: np.ndarray) -> np.ndarray:
     """r(x) without domain checks; clamps into [r_min, r_max]."""
+    import numpy as np
+
     p = shape_parameters(profile)
     kind = profile.kind
     if kind is ShapeKind.STRAIGHT:
@@ -195,6 +213,8 @@ def _evaluate(profile: RadiusProfile, x: np.ndarray) -> np.ndarray:
 
 
 def _check_domain(profile: RadiusProfile, x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     limit = profile.half_length * (1.0 + DOMAIN_TOLERANCE)
     bad = np.abs(x) > limit
     if bad.any():
@@ -212,12 +232,16 @@ def radius_at(profile: RadiusProfile, x: float) -> float:
     Positions within 1e-12*L beyond the boundary are treated as boundary
     values; anything farther out raises OutOfDomainError.
     """
+    import numpy as np
+
     xs = _check_domain(profile, np.asarray(float(x)))
     return float(_evaluate(profile, xs))
 
 
 def radius_array(profile: RadiusProfile, x) -> np.ndarray:
     """Vectorized :func:`radius_at` over an array of positions."""
+    import numpy as np
+
     xs = _check_domain(profile, np.asarray(x, dtype=float))
     return _evaluate(profile, xs)
 
@@ -248,5 +272,7 @@ def sample_profile(profile: RadiusProfile, n_samples: int) -> ProfileTable:
     """
     if n_samples < 2:
         raise TooFewSamplesError(f"need at least 2 samples, got {n_samples}")
+    import numpy as np
+
     xs = np.linspace(-profile.half_length, profile.half_length, int(n_samples))
     return ProfileTable(x=xs, r=_evaluate(profile, xs))

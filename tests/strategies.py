@@ -2,15 +2,7 @@
 
 import hypothesis.strategies as st
 
-from capflow import ShapeKind, make_profile
-
-CORRUGATED = [
-    ShapeKind.CONICAL,
-    ShapeKind.PARABOLIC,
-    ShapeKind.HYPERBOLIC,
-    ShapeKind.HYPERBOLIC_COSINE,
-    ShapeKind.SINUSOIDAL,
-]
+from capflow.geometry import CORRUGATED, ShapeKind, make_profile
 
 
 @st.composite

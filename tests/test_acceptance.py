@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import reference_data as ref
+from procenv import ENV
 
 from capflow import (
+    CORRUGATED,
     Fluid,
     Parallel,
     QuadratureConfig,
@@ -30,14 +32,6 @@ from capflow import (
     pressure_drop,
     verification_sweep,
 )
-
-CORRUGATED = [
-    ShapeKind.CONICAL,
-    ShapeKind.PARABOLIC,
-    ShapeKind.HYPERBOLIC,
-    ShapeKind.HYPERBOLIC_COSINE,
-    ShapeKind.SINUSOIDAL,
-]
 
 SWEEP_SEED = 20260816
 SWEEP_TRIALS = 1000
@@ -229,6 +223,7 @@ def test_criterion_6_network_algebra(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     cli_ok = proc.returncode == 0
     resistance = float("nan")
@@ -259,6 +254,7 @@ def test_criterion_7_cli_round_trip():
              *tube_args, "--flow", "1e-9"],
             capture_output=True,
             text=True,
+            env=ENV,
         )
         if first.returncode != 0:
             round_trip_ok = False
@@ -269,6 +265,7 @@ def test_criterion_7_cli_round_trip():
              *tube_args, "--pressure", pressure],
             capture_output=True,
             text=True,
+            env=ENV,
         )
         if second.returncode != 0:
             round_trip_ok = False
@@ -283,6 +280,7 @@ def test_criterion_7_cli_round_trip():
          "--trials", "100", "--tol", "1e-9", "--seed", "42"],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     elapsed = time.perf_counter() - start
     sweep_ok = sweep.returncode == 0 and elapsed < 10.0

@@ -8,8 +8,10 @@ import reference_data as ref
 from strategies import CORRUGATED, profiles
 
 from capflow import (
+    CapillaryFlowError,
     Fluid,
     FlowState,
+    GeometryRangeError,
     NonPositiveLengthError,
     NonPositiveRadiusError,
     NonPositiveViscosityError,
@@ -109,6 +111,36 @@ class TestInverseR4Integral:
         r_min, r_max, length = ref.WIDE_GEOMETRY
         got = inverse_r4_integral(make_profile(KIND_BY_TOKEN[token], r_min, r_max, length))
         assert got == pytest.approx(ref.WIDE_INTEGRAL[token], rel=1e-14)
+
+
+# Valid geometries whose closed form under- or overflows double precision:
+# (kind, r_min, r_max, length).
+OUT_OF_RANGE = [
+    pytest.param(ShapeKind.CONICAL, 1e-200, 1e-100, 1.0, id="conical-tiny"),
+    pytest.param(ShapeKind.STRAIGHT, 1e-100, 1e-100, 1.0, id="straight-tiny"),
+    pytest.param(ShapeKind.HYPERBOLIC_COSINE, 1e-3, 1e300, 1.0, id="cosh-huge-ratio"),
+    pytest.param(ShapeKind.CONICAL, 1e100, 1e101, 1.0, id="conical-huge"),
+    pytest.param(ShapeKind.STRAIGHT, 1e100, 1e100, 1e-300, id="straight-huge"),
+]
+
+
+class TestRangeError:
+    @pytest.mark.parametrize("kind,r_min,r_max,length", OUT_OF_RANGE)
+    def test_every_entry_point_raises(self, kind, r_min, r_max, length):
+        profile = make_profile(kind, r_min, r_max, length)
+        for call in (
+            lambda: inverse_r4_integral(profile),
+            lambda: pressure_drop(profile, 1.0, WATER),
+            lambda: flow_rate(profile, 1.0, WATER),
+            lambda: hydraulic_resistance(profile, WATER),
+            lambda: equivalent_radius(profile),
+        ):
+            with pytest.raises(GeometryRangeError, match=kind.value):
+                call()
+
+    def test_is_a_typed_value_error(self):
+        assert issubclass(GeometryRangeError, CapillaryFlowError)
+        assert issubclass(GeometryRangeError, ValueError)
 
 
 class TestPressureDrop:

@@ -7,6 +7,10 @@ import sys
 import pytest
 
 import reference_data as ref
+from procenv import ENV
+
+from capflow import NetworkSpecError
+from capflow.cli import parse_network_text
 
 CANONICAL_TUBE = ["--rmin", "1e-3", "--rmax", "2e-3", "--length", "0.1"]
 CANONICAL_STRAIGHT = ["--rmin", "1e-3", "--rmax", "1e-3", "--length", "0.1"]
@@ -18,6 +22,7 @@ def run_cli(*args):
         [sys.executable, "-m", "capflow", *args],
         capture_output=True,
         text=True,
+        env=ENV,
     )
 
 
@@ -32,6 +37,15 @@ def parse_plain(stdout):
 
 def parse_csv(stdout):
     return list(csv.reader(io.StringIO(stdout)))
+
+
+def assert_usage_error(r, *fragments):
+    """Exit 2, nothing on stdout, and a message instead of a traceback."""
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    for fragment in fragments:
+        assert fragment in r.stderr
 
 
 class TestPdrop:
@@ -98,6 +112,18 @@ class TestPdrop:
         assert r.returncode == 2
         assert "NonPositiveViscosityError" in r.stderr
 
+    @pytest.mark.parametrize(
+        "shape,rmin,rmax,length",
+        [("conical", "1e-200", "1e-100", "1"), ("straight", "1e-100", "1e-100", "1")],
+        ids=["conical-tiny", "straight-tiny"],
+    )
+    def test_out_of_range_geometry_is_usage_error(self, shape, rmin, rmax, length):
+        r = run_cli(
+            "pdrop", "--shape", shape, "--rmin", rmin, "--rmax", rmax, "--length", length,
+            "--viscosity", "1", "--flow", "1",
+        )
+        assert_usage_error(r, "GeometryRangeError")
+
 
 class TestQflow:
     def test_straight_round_value(self):
@@ -131,6 +157,22 @@ class TestQflow:
         assert rows[0] == [
             "shape", "r_min", "r_max", "length", "viscosity", "pressure_drop", "flow_rate",
         ]
+
+    @pytest.mark.parametrize(
+        "shape,rmin,rmax,length",
+        [
+            ("cosh", "1e-3", "1e300", "1"),
+            ("conical", "1e100", "1e101", "1"),
+            ("straight", "1e100", "1e100", "1e-300"),
+        ],
+        ids=["cosh-huge-ratio", "conical-huge", "straight-huge"],
+    )
+    def test_out_of_range_geometry_is_usage_error(self, shape, rmin, rmax, length):
+        r = run_cli(
+            "qflow", "--shape", shape, "--rmin", rmin, "--rmax", rmax, "--length", length,
+            "--viscosity", "1", "--pressure", "1",
+        )
+        assert_usage_error(r, "GeometryRangeError")
 
 
 class TestRoundTrip:
@@ -286,6 +328,16 @@ def tube_node(shape, rmin=1e-3, rmax=2e-3, length=0.1):
     return {"type": "tube", "shape": shape, "rmin": rmin, "rmax": rmax, "length": length}
 
 
+def chain_text(depth):
+    """A series/parallel chain nested ``depth`` levels, a tube beside each level."""
+    tube = json.dumps(tube_node("conical"))
+    opening = "".join(
+        f'{{"type": "{"series" if level % 2 else "parallel"}", "elements": [{tube}, '
+        for level in range(depth)
+    )
+    return opening + tube + "]}" * depth
+
+
 class TestNetwork:
     def test_single_tube(self, tmp_path):
         path = write_network(tmp_path, tube_node("conical"))
@@ -418,6 +470,22 @@ class TestNetwork:
     def test_missing_file(self, tmp_path):
         r = run_cli("network", str(tmp_path / "absent.json"), *FLUID, "--flow", "1e-9")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("depth", [400, 2000])
+    def test_deep_nesting_is_usage_error(self, tmp_path, depth):
+        path = tmp_path / "deep.json"
+        path.write_text(chain_text(depth), encoding="utf-8")
+        r = run_cli("network", str(path), *FLUID, "--flow", "1e-9")
+        assert_usage_error(r, "$: nesting too deep")
+
+    def test_deep_nesting_is_a_spec_error_in_the_parser(self):
+        with pytest.raises(NetworkSpecError, match="nesting too deep"):
+            parse_network_text(chain_text(2000))
+
+    def test_out_of_range_leaf_is_usage_error(self, tmp_path):
+        path = write_network(tmp_path, tube_node("straight", rmin=1e-100))
+        r = run_cli("network", path, *FLUID, "--flow", "1e-9")
+        assert_usage_error(r, "GeometryRangeError")
 
     def test_string_radius_rejected(self, tmp_path):
         node = tube_node("conical")
