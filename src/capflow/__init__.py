@@ -23,6 +23,7 @@ from .analytic import (
 from .errors import (
     CapillaryFlowError,
     EmptyCompositeError,
+    FlowRangeError,
     GeometryRangeError,
     NetworkSpecError,
     NonPositiveLengthError,
@@ -111,6 +112,7 @@ __all__ = [
     "SignMismatchError",
     "OutOfDomainError",
     "GeometryRangeError",
+    "FlowRangeError",
     "TooFewSamplesError",
     "EmptyCompositeError",
     "NotConvergedError",

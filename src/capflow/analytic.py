@@ -33,13 +33,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    FlowRangeError,
     GeometryRangeError,
-    NonPositiveLengthError,
-    NonPositiveRadiusError,
     NonPositiveViscosityError,
     SignMismatchError,
 )
-from .geometry import RadiusProfile, ShapeKind, _acosh_of_ratio
+from .geometry import RadiusProfile, ShapeKind, _acosh_of_ratio, make_profile
 
 __all__ = [
     "Fluid",
@@ -93,6 +92,11 @@ class FlowState:
             )
 
 
+def _flow_range_error(quantity: str, value: float, **inputs: float) -> FlowRangeError:
+    given = ", ".join(f"{name}={v!r}" for name, v in inputs.items())
+    return FlowRangeError(f"{quantity} {value!r} is not a finite double for {given}")
+
+
 @dataclass(frozen=True)
 class HydraulicResistance:
     """P/Q for a tube or network.
@@ -103,6 +107,20 @@ class HydraulicResistance:
 
     resistance: float
     geometric_factor: float
+
+    def pressure_drop(self, flow_rate: float) -> float:
+        """P = resistance * Q, in Pa; FlowRangeError unless finite."""
+        value = self.resistance * flow_rate
+        if not math.isfinite(value):
+            raise _flow_range_error("pressure drop", value, resistance=self.resistance, flow_rate=flow_rate)
+        return value
+
+    def flow_rate(self, pressure_drop: float) -> float:
+        """Q = P / resistance, in m^3/s; FlowRangeError unless finite."""
+        value = pressure_drop / self.resistance
+        if not math.isfinite(value):
+            raise _flow_range_error("flow rate", value, resistance=self.resistance, pressure_drop=pressure_drop)
+        return value
 
 
 def _arctan_bracket(u: float) -> float:
@@ -191,31 +209,37 @@ def inverse_r4_integral(profile: RadiusProfile) -> float:
 def poiseuille_pressure_drop(radius: float, length: float, flow_rate: float, fluid: Fluid) -> float:
     """Straight-tube pressure drop P = 8 Q mu L / (pi R^4), in Pa.
 
+    The straight-tube case of :func:`pressure_drop`, with its validation and
+    range checks.
+
     Args:
         radius: tube radius R (m), > 0.
         length: tube length L (m), > 0.
         flow_rate: volumetric rate Q (m^3/s), signed.
         fluid: the fluid; its viscosity scales P linearly.
     """
-    if not (radius > 0.0) or not math.isfinite(radius):
-        raise NonPositiveRadiusError(f"radius must be positive and finite, got {radius!r}")
-    if not (length > 0.0) or not math.isfinite(length):
-        raise NonPositiveLengthError(f"length must be positive and finite, got {length!r}")
-    return (8.0 * flow_rate * fluid.viscosity / math.pi) * (length / radius ** 4)
+    return pressure_drop(make_profile(ShapeKind.STRAIGHT, radius, radius, length), flow_rate, fluid)
 
 
 def pressure_drop(profile: RadiusProfile, flow_rate: float, fluid: Fluid) -> float:
     """Closed-form pressure drop P = (8 Q mu / pi) * I for the profile, in Pa.
 
     Linear in both Q and mu; sign follows Q; equals the straight-tube value
-    when r_min == r_max.
+    when r_min == r_max.  Raises FlowRangeError when Q is NaN or P
+    overflows.
     """
-    return (8.0 * flow_rate * fluid.viscosity / math.pi) * inverse_r4_integral(profile)
+    value = (8.0 * flow_rate * fluid.viscosity / math.pi) * inverse_r4_integral(profile)
+    if not math.isfinite(value):
+        raise _flow_range_error("pressure drop", value, flow_rate=flow_rate, viscosity=fluid.viscosity)
+    return value
 
 
 def flow_rate(profile: RadiusProfile, pressure_drop: float, fluid: Fluid) -> float:
-    """Flow rate Q = P / resistance, in m^3/s; the exact linear inverse."""
-    return pressure_drop / hydraulic_resistance(profile, fluid).resistance
+    """Flow rate Q = P / resistance, in m^3/s; the exact linear inverse.
+
+    Raises FlowRangeError when P is NaN or Q overflows.
+    """
+    return hydraulic_resistance(profile, fluid).flow_rate(pressure_drop)
 
 
 def hydraulic_resistance(profile: RadiusProfile, fluid: Fluid) -> HydraulicResistance:

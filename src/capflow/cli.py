@@ -466,12 +466,14 @@ def cmd_network(file, viscosity, flow, pressure, fmt):
             raise click.UsageError("$: nesting too deep to evaluate") from exc
     if flow is not None:
         _require_finite("--flow", flow)
-        dual_name, dual_value, dual_unit = "pressure_drop", res.resistance * flow, _U_PRESSURE
         given_name, given_value, given_unit = "flow_rate", flow, _U_FLOW
+        dual_name, dual_unit, dual = "pressure_drop", _U_PRESSURE, res.pressure_drop
     else:
         _require_finite("--pressure", pressure)
-        dual_name, dual_value, dual_unit = "flow_rate", pressure / res.resistance, _U_FLOW
         given_name, given_value, given_unit = "pressure_drop", pressure, _U_PRESSURE
+        dual_name, dual_unit, dual = "flow_rate", _U_FLOW, res.flow_rate
+    with _usage_errors():
+        dual_value = dual(given_value)
 
     if fmt == OutputFormat.PLAIN.value:
         out = (

@@ -48,6 +48,14 @@ class GeometryRangeError(CapillaryFlowError, ValueError):
     """
 
 
+class FlowRangeError(CapillaryFlowError, ValueError):
+    """A pressure drop or flow rate came out as no finite double.
+
+    Either an input was NaN, or the product or quotient of finite inputs
+    overflowed double precision.
+    """
+
+
 class TooFewSamplesError(CapillaryFlowError, ValueError):
     """A profile table was requested with fewer than two samples."""
 

@@ -16,6 +16,8 @@ exactly one full wavelength.  All quantities are SI (metres).
 
 numpy is imported by the functions that build arrays, not by this module,
 so the closed forms and networks that only need profiles never load it.
+Every array of radii comes from one builder, ``_radius_function``, which
+holds each radius formula once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import (
     NonPositiveLengthError,
@@ -189,27 +191,39 @@ def shape_parameters(profile: RadiusProfile) -> ShapeParameters:
     raise AssertionError(f"unhandled shape kind {kind!r}")
 
 
-def _evaluate(profile: RadiusProfile, x: np.ndarray) -> np.ndarray:
-    """r(x) without domain checks; clamps into [r_min, r_max]."""
+def _radius_function(profile: RadiusProfile) -> Callable[[np.ndarray], np.ndarray]:
+    """r(x) of one profile as a vectorized function of in-domain positions.
+
+    The shape coefficients are bound here, once, so repeated calls (one per
+    quadrature generation) pay for no shape dispatch.  The function checks
+    no domain and clamps into [r_min, r_max]: the formulas can drift a few
+    ulp past the radii at the waist and the ends, and the geometric bounds
+    are part of the contract.
+    """
     import numpy as np
 
     p = shape_parameters(profile)
+    a, b, k = p.a, p.b, p.wavenumber
+    r_min, r_max = profile.r_min, profile.r_max
     kind = profile.kind
     if kind is ShapeKind.STRAIGHT:
-        r = np.full_like(x, profile.r_min)
+        formula = lambda x: np.full_like(x, r_min)
     elif kind is ShapeKind.CONICAL:
-        r = p.a + p.b * np.abs(x)
+        formula = lambda x: a + b * np.abs(x)
     elif kind is ShapeKind.PARABOLIC:
-        r = p.a + p.b * np.square(x)
+        formula = lambda x: a + b * np.square(x)
     elif kind is ShapeKind.HYPERBOLIC:
-        r = np.sqrt(p.a + p.b * np.square(x))
+        formula = lambda x: np.sqrt(a + b * np.square(x))
     elif kind is ShapeKind.HYPERBOLIC_COSINE:
-        r = p.a * np.cosh(p.b * x)
+        formula = lambda x: a * np.cosh(b * x)
     else:
-        r = p.a - p.b * np.cos(p.wavenumber * x)
-    # The formulas can drift a few ulp past the radii at the waist and the
-    # ends; the geometric bounds are part of the contract, so clamp.
-    return np.clip(r, profile.r_min, profile.r_max)
+        formula = lambda x: a - b * np.cos(k * x)
+
+    def radius(x: np.ndarray) -> np.ndarray:
+        # np.clip's semantics without its Python-level wrapper.
+        return np.minimum(np.maximum(formula(x), r_min), r_max)
+
+    return radius
 
 
 def _check_domain(profile: RadiusProfile, x: np.ndarray) -> np.ndarray:
@@ -235,7 +249,7 @@ def radius_at(profile: RadiusProfile, x: float) -> float:
     import numpy as np
 
     xs = _check_domain(profile, np.asarray(float(x)))
-    return float(_evaluate(profile, xs))
+    return float(_radius_function(profile)(xs))
 
 
 def radius_array(profile: RadiusProfile, x) -> np.ndarray:
@@ -243,7 +257,7 @@ def radius_array(profile: RadiusProfile, x) -> np.ndarray:
     import numpy as np
 
     xs = _check_domain(profile, np.asarray(x, dtype=float))
-    return _evaluate(profile, xs)
+    return _radius_function(profile)(xs)
 
 
 @dataclass(frozen=True)
@@ -275,4 +289,4 @@ def sample_profile(profile: RadiusProfile, n_samples: int) -> ProfileTable:
     import numpy as np
 
     xs = np.linspace(-profile.half_length, profile.half_length, int(n_samples))
-    return ProfileTable(x=xs, r=_evaluate(profile, xs))
+    return ProfileTable(x=xs, r=_radius_function(profile)(xs))

@@ -93,10 +93,16 @@ def network_resistance(element: NetworkElement, fluid: Fluid) -> HydraulicResist
 
 
 def network_pressure_drop(element: NetworkElement, flow_rate: float, fluid: Fluid) -> float:
-    """P = resistance * Q across the whole network, in Pa."""
-    return network_resistance(element, fluid).resistance * flow_rate
+    """P = resistance * Q across the whole network, in Pa.
+
+    Raises FlowRangeError when Q is NaN or P overflows.
+    """
+    return network_resistance(element, fluid).pressure_drop(flow_rate)
 
 
 def network_flow_rate(element: NetworkElement, pressure_drop: float, fluid: Fluid) -> float:
-    """Q = P / resistance through the whole network, in m^3/s."""
-    return pressure_drop / network_resistance(element, fluid).resistance
+    """Q = P / resistance through the whole network, in m^3/s.
+
+    Raises FlowRangeError when P is NaN or Q overflows.
+    """
+    return network_resistance(element, fluid).flow_rate(pressure_drop)

@@ -9,9 +9,12 @@ are bisected, breadth-first, until the total estimate fits the budget or
 refinement can no longer help (depth limit, rounding floor, or panel cap),
 in which case the best value is returned flagged ``converged=False``.
 
-The integrand is evaluated on whole generations of panels at once (numpy),
-and panel contributions are accumulated in ascending axial order with
-compensated summation, so results are bit-for-bit reproducible.
+The integrand is evaluated on whole generations of panels at once (numpy);
+the panel bookkeeping between generations (bounds, depths, values, gaps)
+is done in Python floats, which for the handful of panels a typical
+integral needs costs less than numpy's per-call overhead.  Panel
+contributions are accumulated in ascending axial order with compensated
+summation, so results are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -24,8 +27,13 @@ import numpy as np
 
 from .analytic import Fluid, pressure_drop
 from .errors import NotConvergedError
-from .geometry import RadiusProfile, ShapeKind, make_profile, radius_array
-from .summation import neumaier_sum
+from .geometry import RadiusProfile, ShapeKind, _radius_function, make_profile
+from .summation import neumaier_sum, pairwise_sum
+
+# Not used here since the oracle builds r(x) once per profile, but kept as a
+# module attribute: the traced verify pass of perfbench swaps it together
+# with this module's other entry points.
+from .geometry import radius_array  # noqa: F401
 
 __all__ = [
     "QuadratureConfig",
@@ -143,7 +151,8 @@ class VerificationReport:
     """Closed form vs quadrature for one profile, at reference Q=1, mu=1.
 
     ``oracle_error_estimate`` is the quadrature error estimate on the
-    integral itself (1/m^3).  ``passed`` requires convergence and
+    integral itself (1/m^3) and ``evaluations`` the integrand evaluations
+    the oracle spent on it.  ``passed`` requires convergence and
     ``relative_discrepancy <= max(tolerance, error_estimate/value)``.
     """
 
@@ -154,17 +163,34 @@ class VerificationReport:
     oracle_error_estimate: float
     converged: bool
     passed: bool
+    evaluations: int
 
 
-def _evaluate_panels(fn, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod value and Kronrod-Gauss gap for each [lo_i, hi_i] panel."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    f = fn(x)
-    kronrod = half * (f @ _WEIGHTS_K15)
-    gauss = half * (f[:, 1::2] @ _WEIGHTS_G7)
-    return kronrod, np.abs(kronrod - gauss)
+def _evaluate_panels(fn, lo: list[float], hi: list[float]) -> tuple[list[float], list[float]]:
+    """Kronrod value and Kronrod-Gauss gap for each [lo_i, hi_i] panel.
+
+    numpy evaluates the integrand on the (panels, 15) node grid and the two
+    weight products; everything else stays in Python floats.
+    """
+    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    half = [0.5 * (b - a) for a, b in zip(lo, hi)]
+    centres, halves = np.array([mid, half])[:, :, None]
+    f = fn(centres + halves * _NODES)
+    kronrod = [h * k for h, k in zip(half, (f @ _WEIGHTS_K15).tolist())]
+    gauss = (f[:, 1::2] @ _WEIGHTS_G7).tolist()
+    return kronrod, [abs(k - h * g) for k, h, g in zip(kronrod, half, gauss)]
+
+
+def _worst_first(gap: list[float], split: list[int], room: int) -> list[int]:
+    """The ``room`` panels of ``split`` with the largest gaps, in panel order.
+
+    Ties resolve as numpy's default argsort orders them, reversed, so the
+    outcome is deterministic.
+    """
+    can_split = np.zeros(len(gap), dtype=bool)
+    can_split[split] = True
+    order = np.argsort(np.array(gap))[::-1]
+    return sorted(order[can_split[order]][:room].tolist())
 
 
 def adaptive_integrate(
@@ -184,64 +210,66 @@ def adaptive_integrate(
     if not (upper > lower):
         raise ValueError(f"need upper > lower, got [{lower!r}, {upper!r}]")
 
-    lo = np.array([lower])
-    hi = np.array([upper])
-    depth = np.array([0])
+    # One entry per panel, in ascending axial order.
+    lo = [lower]
+    hi = [upper]
+    depth = [0]
     kron, gap = _evaluate_panels(fn, lo, hi)
     panels_evaluated = 1
     total_width = upper - lower
+    max_depth = config.max_depth
     converged = False
 
     # Each generation deepens every still-active lineage by one, so
     # max_depth + 1 passes are enough; the extra headroom is defensive.
-    for _generation in range(2 * config.max_depth + 8):
-        running = float(kron.sum())
-        total_gap = float(gap.sum())
+    for _generation in range(2 * max_depth + 8):
+        running = pairwise_sum(kron)
         budget = max(config.abs_tol, config.rel_tol * abs(running))
-        if total_gap <= budget:
+        if pairwise_sum(gap) <= budget:
             converged = True
             break
 
-        share = budget * (hi - lo) / total_width
-        floor = _ROUNDING_FLOOR * np.abs(kron)
-        can_split = (gap > share) & (gap > floor) & (depth < config.max_depth)
-        if not can_split.any():
+        split = [
+            i
+            for i, (a, b, d, k, g) in enumerate(zip(lo, hi, depth, kron, gap))
+            if g > budget * (b - a) / total_width
+            and g > _ROUNDING_FLOOR * abs(k)
+            and d < max_depth
+        ]
+        if not split:
             break
-
         room = _MAX_PANELS - len(lo)
         if room <= 0:
             break
-        if int(can_split.sum()) > room:
-            # Keep the worst offenders; argsort is stable, so ties resolve
-            # by panel order and the outcome stays deterministic.
-            order = np.argsort(gap)[::-1]
-            keep = order[can_split[order]][:room]
-            mask = np.zeros_like(can_split)
-            mask[keep] = True
-            can_split = mask
+        if len(split) > room:
+            split = _worst_first(gap, split, room)
 
-        counts = np.where(can_split, 2, 1)
-        first = np.cumsum(counts) - counts  # index of each parent's first slot
-        mid = 0.5 * (lo + hi)
+        # Children are evaluated all left halves first, then all right
+        # halves, each in panel order.
+        mid = [0.5 * (lo[i] + hi[i]) for i in split]
+        child_kron, child_gap = _evaluate_panels(
+            fn, [lo[i] for i in split] + mid, mid + [hi[i] for i in split]
+        )
+        panels_evaluated += 2 * len(split)
 
-        new_lo = np.repeat(lo, counts)
-        new_hi = np.repeat(hi, counts)
-        new_depth = np.repeat(depth, counts)
-        new_kron = np.repeat(kron, counts)
-        new_gap = np.repeat(gap, counts)
-
-        left = first[can_split]
-        new_hi[left] = mid[can_split]
-        new_lo[left + 1] = mid[can_split]
-        new_depth[left] += 1
-        new_depth[left + 1] += 1
-
-        child_slots = np.concatenate([left, left + 1])
-        child_kron, child_gap = _evaluate_panels(fn, new_lo[child_slots], new_hi[child_slots])
-        new_kron[child_slots] = child_kron
-        new_gap[child_slots] = child_gap
-        panels_evaluated += len(child_slots)
-
+        # Each split panel gives way to its two children, in place.
+        new_lo, new_hi, new_depth, new_kron, new_gap = [], [], [], [], []
+        n_split = len(split)
+        j = 0
+        for i, (a, b, d, k, g) in enumerate(zip(lo, hi, depth, kron, gap)):
+            if j < n_split and split[j] == i:
+                new_lo += (a, mid[j])
+                new_hi += (mid[j], b)
+                new_depth += (d + 1, d + 1)
+                new_kron += (child_kron[j], child_kron[n_split + j])
+                new_gap += (child_gap[j], child_gap[n_split + j])
+                j += 1
+            else:
+                new_lo.append(a)
+                new_hi.append(b)
+                new_depth.append(d)
+                new_kron.append(k)
+                new_gap.append(g)
         lo, hi, depth, kron, gap = new_lo, new_hi, new_depth, new_kron, new_gap
 
     return QuadratureResult(
@@ -256,11 +284,15 @@ def integrate_inverse_r4(
     profile: RadiusProfile, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> QuadratureResult:
     """Numerically evaluate I = int dx / r(x)^4 over [-L/2, L/2]."""
+    radius = _radius_function(profile)
+    half_length = profile.half_length
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return 1.0 / radius_array(profile, x) ** 4
+        # Nodes lie inside the tube by construction; the clamp only absorbs
+        # the rounding of the deepest panels' node positions.
+        return 1.0 / radius(np.minimum(np.maximum(x, -half_length), half_length)) ** 4
 
-    return adaptive_integrate(integrand, -profile.half_length, profile.half_length, config)
+    return adaptive_integrate(integrand, -half_length, half_length, config)
 
 
 def numeric_pressure_drop(
@@ -285,6 +317,9 @@ def numeric_pressure_drop(
     return (8.0 * flow_rate * fluid.viscosity / math.pi) * result.value
 
 
+_REFERENCE_FLUID = Fluid(1.0)
+
+
 def verify_analytic(
     profile: RadiusProfile,
     tolerance: float,
@@ -298,7 +333,7 @@ def verify_analytic(
     """
     result = integrate_inverse_r4(profile, config)
     numeric = (8.0 / math.pi) * result.value
-    analytic = pressure_drop(profile, 1.0, Fluid(1.0))
+    analytic = pressure_drop(profile, 1.0, _REFERENCE_FLUID)
     discrepancy = abs(analytic - numeric) / abs(numeric)
     oracle_relative = result.error_estimate / result.value
     passed = result.converged and discrepancy <= max(tolerance, oracle_relative)
@@ -310,6 +345,7 @@ def verify_analytic(
         oracle_error_estimate=result.error_estimate,
         converged=result.converged,
         passed=passed,
+        evaluations=result.evaluations,
     )
 
 
@@ -327,17 +363,29 @@ _LOG10_LENGTH = (-4.0, 1.0)
 _KIND_STREAM = {kind: i for i, kind in enumerate(ShapeKind)}
 
 
+def _scaled(bounds: tuple[float, float], u: float) -> float:
+    """``u`` in [0, 1) mapped onto [low, high) as ``Generator.uniform`` maps it."""
+    low, high = bounds
+    return low + (high - low) * u
+
+
 def random_profile(kind: ShapeKind, rng: np.random.Generator) -> RadiusProfile:
     """Draw one profile from the verified envelope (see module constants).
 
-    Straight tubes take r_max = r_min since their ratio is pinned to 1.
+    Straight tubes take r_max = r_min since their ratio is pinned to 1, and
+    draw no ratio.  The uniforms come from one ``rng.random`` call, in the
+    order r_min, ratio, length; each draw equals what ``rng.uniform`` over
+    the same bounds returns.
     """
-    r_min = 10.0 ** rng.uniform(*_LOG10_RMIN)
     if kind is ShapeKind.STRAIGHT:
+        u_rmin, u_length = rng.random(2).tolist()
+        r_min = 10.0 ** _scaled(_LOG10_RMIN, u_rmin)
         r_max = r_min
     else:
-        r_max = r_min * (1.0 + 10.0 ** rng.uniform(*_LOG10_RATIO_EXCESS))
-    length = 10.0 ** rng.uniform(*_LOG10_LENGTH)
+        u_rmin, u_ratio, u_length = rng.random(3).tolist()
+        r_min = 10.0 ** _scaled(_LOG10_RMIN, u_rmin)
+        r_max = r_min * (1.0 + 10.0 ** _scaled(_LOG10_RATIO_EXCESS, u_ratio))
+    length = 10.0 ** _scaled(_LOG10_LENGTH, u_length)
     return make_profile(kind, r_min, r_max, length)
 
 

@@ -10,6 +10,7 @@ from strategies import CORRUGATED, profiles
 from capflow import (
     CapillaryFlowError,
     Fluid,
+    FlowRangeError,
     FlowState,
     GeometryRangeError,
     NonPositiveLengthError,
@@ -84,6 +85,16 @@ class TestPoiseuille:
         with pytest.raises(NonPositiveLengthError):
             poiseuille_pressure_drop(1e-3, -0.1, 1e-9, WATER)
 
+    @pytest.mark.parametrize("radius", [1e100, 1e-100], ids=["huge", "tiny"])
+    def test_out_of_range_radius(self, radius):
+        # R^4 overflows or underflows; both leave double range typed.
+        with pytest.raises(GeometryRangeError, match="straight"):
+            poiseuille_pressure_drop(radius, 1.0, 1.0, Fluid(1.0))
+
+    def test_equals_straight_pressure_drop(self):
+        profile = make_profile(ShapeKind.STRAIGHT, 2e-3, 2e-3, 0.1)
+        assert poiseuille_pressure_drop(2e-3, 0.1, 1e-9, WATER) == pressure_drop(profile, 1e-9, WATER)
+
 
 class TestInverseR4Integral:
     @pytest.mark.parametrize("token", sorted(ref.INTEGRAL))
@@ -141,6 +152,43 @@ class TestRangeError:
     def test_is_a_typed_value_error(self):
         assert issubclass(GeometryRangeError, CapillaryFlowError)
         assert issubclass(GeometryRangeError, ValueError)
+
+
+class TestFlowRangeError:
+    CONICAL = make_profile(ShapeKind.CONICAL, 1e-3, 2e-3, 0.1)
+
+    def test_is_a_typed_value_error(self):
+        assert issubclass(FlowRangeError, CapillaryFlowError)
+        assert issubclass(FlowRangeError, ValueError)
+
+    def test_pressure_drop_overflow(self):
+        with pytest.raises(FlowRangeError, match="pressure drop inf"):
+            pressure_drop(self.CONICAL, 1e300, Fluid(1e3))
+
+    def test_poiseuille_overflow(self):
+        with pytest.raises(FlowRangeError, match="pressure drop"):
+            poiseuille_pressure_drop(1e-3, 0.1, 1e300, Fluid(1e3))
+
+    def test_flow_rate_overflow(self):
+        with pytest.raises(FlowRangeError, match="flow rate inf"):
+            flow_rate(self.CONICAL, 1e300, Fluid(1e-300))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs(self, value):
+        with pytest.raises(FlowRangeError):
+            pressure_drop(self.CONICAL, value, WATER)
+        with pytest.raises(FlowRangeError):
+            flow_rate(self.CONICAL, value, WATER)
+
+    def test_resistance_methods_match_the_functions(self):
+        res = hydraulic_resistance(self.CONICAL, WATER)
+        assert res.flow_rate(ref.PRESSURE["conical"]) == flow_rate(self.CONICAL, ref.PRESSURE["conical"], WATER)
+        assert res.pressure_drop(ref.FLOW) == res.resistance * ref.FLOW
+        with pytest.raises(FlowRangeError):
+            res.pressure_drop(math.nan)
+
+    def test_large_finite_answers_still_pass(self):
+        assert pressure_drop(self.CONICAL, 1e290, Fluid(1e3)) > 1e290
 
 
 class TestPressureDrop:

@@ -124,6 +124,11 @@ class TestPdrop:
         )
         assert_usage_error(r, "GeometryRangeError")
 
+    def test_overflowing_pressure_is_usage_error(self):
+        r = run_cli("pdrop", "--shape", "conical", *CANONICAL_TUBE,
+                    "--viscosity", "1e3", "--flow", "1e300")
+        assert_usage_error(r, "FlowRangeError", "pressure drop inf")
+
 
 class TestQflow:
     def test_straight_round_value(self):
@@ -173,6 +178,11 @@ class TestQflow:
             "--viscosity", "1", "--pressure", "1",
         )
         assert_usage_error(r, "GeometryRangeError")
+
+    def test_overflowing_flow_is_usage_error(self):
+        r = run_cli("qflow", "--shape", "conical", *CANONICAL_TUBE,
+                    "--viscosity", "1e-300", "--pressure", "1e300")
+        assert_usage_error(r, "FlowRangeError", "flow rate inf")
 
 
 class TestRoundTrip:
@@ -486,6 +496,15 @@ class TestNetwork:
         path = write_network(tmp_path, tube_node("straight", rmin=1e-100))
         r = run_cli("network", path, *FLUID, "--flow", "1e-9")
         assert_usage_error(r, "GeometryRangeError")
+
+    @pytest.mark.parametrize(
+        "given", [("--viscosity", "1e3", "--flow", "1e300"), ("--viscosity", "1e-300", "--pressure", "1e300")],
+        ids=["pressure", "flow"],
+    )
+    def test_overflowing_answer_is_usage_error(self, tmp_path, given):
+        path = write_network(tmp_path, tube_node("conical"))
+        r = run_cli("network", path, *given)
+        assert_usage_error(r, "FlowRangeError")
 
     def test_string_radius_rejected(self, tmp_path):
         node = tube_node("conical")

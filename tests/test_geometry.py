@@ -220,6 +220,11 @@ class TestSampleProfile:
             t.r[0] = 5.0
 
     @given(profiles(kinds=ALL_KINDS), st.integers(2, 50))
+    def test_same_radii_as_radius_array(self, profile, n):
+        t = sample_profile(profile, n)
+        assert np.array_equal(t.r, radius_array(profile, t.x))
+
+    @given(profiles(kinds=ALL_KINDS), st.integers(2, 50))
     def test_endpoints_and_bounds(self, profile, n):
         t = sample_profile(profile, n)
         assert t.x[0] == -profile.half_length

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -8,6 +10,7 @@ from strategies import profiles
 from capflow import (
     EmptyCompositeError,
     Fluid,
+    FlowRangeError,
     Parallel,
     Series,
     ShapeKind,
@@ -200,3 +203,21 @@ class TestOperatingPoints:
         tree = Series([Tube(profile_a), Parallel([Tube(profile_b), Tube(profile_a)])])
         p = network_pressure_drop(tree, flow, WATER)
         assert network_flow_rate(tree, p, WATER) == pytest.approx(flow, rel=1e-12)
+
+
+class TestFlowRange:
+    NETWORK = Series([Tube(make_profile(ShapeKind.CONICAL, 1e-3, 2e-3, 0.1))])
+
+    def test_pressure_drop_overflow(self):
+        with pytest.raises(FlowRangeError, match="pressure drop inf"):
+            network_pressure_drop(self.NETWORK, 1e300, Fluid(1e3))
+
+    def test_flow_rate_overflow(self):
+        with pytest.raises(FlowRangeError, match="flow rate inf"):
+            network_flow_rate(self.NETWORK, 1e300, Fluid(1e-300))
+
+    def test_nan_inputs(self):
+        with pytest.raises(FlowRangeError):
+            network_pressure_drop(self.NETWORK, math.nan, WATER)
+        with pytest.raises(FlowRangeError):
+            network_flow_rate(self.NETWORK, math.nan, WATER)

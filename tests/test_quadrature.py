@@ -24,7 +24,9 @@ from capflow import (
     verification_sweep,
     verify_analytic,
 )
-from capflow.quadrature import _NODES, _WEIGHTS_G7, _WEIGHTS_K15
+from capflow import quadrature
+from capflow.quadrature import _KIND_STREAM, _NODES, _WEIGHTS_G7, _WEIGHTS_K15, _worst_first
+from capflow.summation import pairwise_sum
 
 KIND_BY_TOKEN = {kind.value: kind for kind in ShapeKind}
 WATER = Fluid(viscosity=ref.VISCOSITY)
@@ -226,6 +228,17 @@ class TestIntegrateInverseR4:
         b = integrate_inverse_r4(wide("parabolic"))
         assert a == b
 
+    def test_same_as_integrating_radius_array(self):
+        # The oracle's own integrand (radius bound once, nodes clamped) must
+        # give exactly what the domain-checked public radius_array gives.
+        cfg = QuadratureConfig(rel_tol=1e-13)
+        for profile in [canonical(t) for t in sorted(ref.INTEGRAL)] + [wide(t) for t in sorted(ref.WIDE_INTEGRAL)]:
+            def integrand(x):
+                return 1.0 / radius_array(profile, x) ** 4
+
+            direct = adaptive_integrate(integrand, -profile.half_length, profile.half_length, cfg)
+            assert integrate_inverse_r4(profile, cfg) == direct
+
 
 class TestNonConvergence:
     CRAMPED = QuadratureConfig(rel_tol=1e-15, max_depth=1)
@@ -293,6 +306,67 @@ class TestVerifyAnalytic:
         assert report.analytic_pressure_drop == pressure_drop(profile, 1.0, Fluid(1.0))
 
 
+class TestPairwiseSum:
+    """The oracle's running estimate must equal numpy's float64 sum."""
+
+    def test_matches_numpy_sum(self):
+        # Every branch: short runs, unrolled blocks with remainders, splits.
+        for n in list(range(1, 300)) + [1000, 4099, 20000]:
+            rng = np.random.default_rng([31, n])
+            values = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-8, 8, n)).tolist()
+            assert pairwise_sum(values) == float(np.array(values).sum()), n
+
+
+class TestWorstFirst:
+    """The panel cap keeps the worst offenders, ties broken as the original
+    array form of the rule broke them."""
+
+    @staticmethod
+    def array_rule(gap, can_split, room):
+        order = np.argsort(gap)[::-1]
+        keep = order[can_split[order]][:room]
+        mask = np.zeros_like(can_split)
+        mask[keep] = True
+        return np.flatnonzero(mask).tolist()
+
+    def test_matches_the_array_rule_with_ties(self):
+        rng = np.random.default_rng(41)
+        for _ in range(500):
+            n = int(rng.integers(2, 60))
+            gap = rng.choice([0.0, 1e-9, 2.5e-9, 1e-7], size=n)
+            can_split = rng.random(n) < 0.7
+            split = np.flatnonzero(can_split).tolist()
+            if not split:
+                continue
+            room = int(rng.integers(1, len(split) + 1))
+            assert _worst_first(gap.tolist(), split, room) == self.array_rule(gap, can_split, room)
+
+
+class TestSweepCallContract:
+    """verification_sweep reaches its parts through quadrature's module
+    globals, once per trial, so wrappers swapped onto them see every trial
+    (the traced verify pass of perfbench relies on this)."""
+
+    NAMES = ("random_profile", "verify_analytic", "integrate_inverse_r4", "pressure_drop")
+
+    def test_each_part_called_once_per_trial(self, monkeypatch):
+        calls = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            original = getattr(quadrature, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(quadrature, name, counted)
+        reports = verification_sweep(CORRUGATED, 20, 1e-9, seed=3)
+        assert len(reports) == 100
+        assert calls == dict.fromkeys(self.NAMES, 100)
+
+    def test_radius_array_resolves(self):
+        assert quadrature.radius_array is radius_array
+
+
 class TestSweep:
     def test_deterministic(self):
         a = verification_sweep([ShapeKind.CONICAL], 5, 1e-9, seed=42)
@@ -333,3 +407,23 @@ class TestSweep:
         rng = np.random.default_rng(6)
         profile = random_profile(ShapeKind.STRAIGHT, rng)
         assert profile.r_max == profile.r_min
+
+    def test_random_profile_matches_uniform_draws(self):
+        # One rng.random(n) call gives the draws rng.uniform would, in order.
+        for kind in ShapeKind:
+            rng = np.random.default_rng([8, _KIND_STREAM[kind]])
+            twin = np.random.default_rng([8, _KIND_STREAM[kind]])
+            for _ in range(200):
+                profile = random_profile(kind, rng)
+                r_min = 10.0 ** twin.uniform(-6.0, -2.0)
+                r_max = r_min
+                if kind is not ShapeKind.STRAIGHT:
+                    r_max = r_min * (1.0 + 10.0 ** twin.uniform(-9.0, math.log10(99.0)))
+                length = 10.0 ** twin.uniform(-4.0, 1.0)
+                assert (profile.r_min, profile.r_max, profile.length) == (r_min, r_max, length)
+
+    def test_reports_carry_evaluations(self):
+        config = QuadratureConfig(rel_tol=1e-12)
+        for report in verification_sweep(CORRUGATED, 4, 1e-9, seed=12, config=config):
+            assert report.evaluations == integrate_inverse_r4(report.profile, config).evaluations
+            assert report.evaluations % 15 == 0
