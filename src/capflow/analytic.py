@@ -243,9 +243,29 @@ def flow_rate(profile: RadiusProfile, pressure_drop: float, fluid: Fluid) -> flo
 
 
 def hydraulic_resistance(profile: RadiusProfile, fluid: Fluid) -> HydraulicResistance:
-    """Resistance P/Q = mu * G with G = (8/pi) * I, both strictly positive."""
-    g = (8.0 / math.pi) * inverse_r4_integral(profile)
-    return HydraulicResistance(resistance=fluid.viscosity * g, geometric_factor=g)
+    """Resistance P/Q = mu * G with G = (8/pi) * I, both strictly positive.
+
+    Raises GeometryRangeError when G, and FlowRangeError when mu * G, is no
+    positive finite double.
+    """
+    return _resistance_of((8.0 / math.pi) * inverse_r4_integral(profile), fluid)
+
+
+def _resistance_of(g: float, fluid: Fluid) -> HydraulicResistance:
+    """The HydraulicResistance mu * G of a geometric factor G = g, in 1/m^3.
+
+    Raises GeometryRangeError unless G, and FlowRangeError unless mu * G,
+    is a positive finite double.
+    """
+    if not 0.0 < g < math.inf:
+        raise GeometryRangeError(f"geometric factor G = {g!r} is not a positive finite double")
+    resistance = fluid.viscosity * g
+    if not 0.0 < resistance < math.inf:
+        raise FlowRangeError(
+            f"resistance {resistance!r} is not a positive finite double "
+            f"for viscosity={fluid.viscosity!r}, geometric_factor={g!r}"
+        )
+    return HydraulicResistance(resistance=resistance, geometric_factor=g)
 
 
 def equivalent_radius(profile: RadiusProfile) -> float:

@@ -354,81 +354,147 @@ def cmd_verify(shapes, trials, tol, seed, fmt):
 # --- network files ----------------------------------------------------------
 
 
-def _spec_number(obj: dict, key: str, location: str) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise NetworkSpecError(f'"{key}" must be a number, got {value!r}', location)
-    return float(value)
+_TUBE_KEYS = frozenset(("type", "shape", "rmin", "rmax", "length"))
+_COMPOSITE_KEYS = frozenset(("type", "elements"))
+_FACTORIES = {"series": Series, "parallel": Parallel}
 
 
-def _parse_network_node(obj, location: str) -> NetworkElement:
-    if not isinstance(obj, dict):
-        raise NetworkSpecError(f"expected an object, got {type(obj).__name__}", location)
-    if "type" not in obj:
-        raise NetworkSpecError('missing "type"', location)
-    node_type = obj["type"]
+def _location(frame) -> str:
+    """Document path of the node being parsed in a _build_network frame.
 
-    if node_type == "tube":
-        required = ("shape", "rmin", "rmax", "length")
-        for key in required:
-            if key not in obj:
-                raise NetworkSpecError(f'tube node missing "{key}"', location)
-        unknown = sorted(set(obj) - {"type", *required})
-        if unknown:
-            raise NetworkSpecError(f'unknown key "{unknown[0]}" in tube node', location)
-        shape = obj["shape"]
-        if shape not in _TOKEN_TO_KIND:
-            raise NetworkSpecError(
-                f'unknown shape {shape!r}; valid: {", ".join(_SHAPE_TOKENS)}', location
-            )
-        rmin = _spec_number(obj, "rmin", location)
-        rmax = _spec_number(obj, "rmax", location)
-        length = _spec_number(obj, "length", location)
+    That node is the frame's next child, at index len(children); each
+    enclosing frame's node sits at the same index of its own frame.
+    """
+    indices = []
+    while frame[3] is not None:
+        indices.append(len(frame[2]))
+        frame = frame[3]
+    return "$" + "".join(f".elements[{i}]" for i in reversed(indices))
+
+
+def _spec_error(message: str, frame) -> NetworkSpecError:
+    return NetworkSpecError(message, _location(frame))
+
+
+def _spec_number(node: dict, key: str, frame) -> float:
+    value = node[key]
+    if type(value) is float:
+        return value
+    if type(value) is int:
         try:
-            return Tube(make_profile(_TOKEN_TO_KIND[shape], rmin, rmax, length))
-        except CapillaryFlowError as exc:
-            raise NetworkSpecError(f"{type(exc).__name__}: {exc}", location) from exc
+            return float(value)
+        except OverflowError:
+            raise _spec_error(f'"{key}" is outside the double range, got {value!r}', frame) from None
+    raise _spec_error(f'"{key}" must be a number, got {value!r}', frame)
 
-    if node_type in ("series", "parallel"):
-        unknown = sorted(set(obj) - {"type", "elements"})
-        if unknown:
-            raise NetworkSpecError(f'unknown key "{unknown[0]}" in {node_type} node', location)
-        if "elements" not in obj:
-            raise NetworkSpecError(f'{node_type} node missing "elements"', location)
-        elements = obj["elements"]
-        if not isinstance(elements, list):
-            raise NetworkSpecError('"elements" must be an array', location)
-        children = [
-            _parse_network_node(child, f"{location}.elements[{i}]")
-            for i, child in enumerate(elements)
-        ]
-        factory = Series if node_type == "series" else Parallel
-        try:
-            return factory(children)
-        except CapillaryFlowError as exc:
-            raise NetworkSpecError(f"{type(exc).__name__}: {exc}", location) from exc
 
-    raise NetworkSpecError(
-        f'unknown node type {node_type!r}; expected "tube", "series", or "parallel"',
-        location,
-    )
+def _tube(node: dict, frame) -> Tube:
+    if node.keys() != _TUBE_KEYS:
+        for key in ("shape", "rmin", "rmax", "length"):
+            if key not in node:
+                raise _spec_error(f'tube node missing "{key}"', frame)
+        raise _spec_error(f'unknown key "{min(node.keys() - _TUBE_KEYS)}" in tube node', frame)
+    shape = node["shape"]
+    kind = _TOKEN_TO_KIND.get(shape) if type(shape) is str else None
+    if kind is None:
+        raise _spec_error(f'unknown shape {shape!r}; valid: {", ".join(_SHAPE_TOKENS)}', frame)
+    rmin, rmax, length = node["rmin"], node["rmax"], node["length"]
+    if not (type(rmin) is type(rmax) is type(length) is float):
+        rmin, rmax, length = [_spec_number(node, key, frame) for key in ("rmin", "rmax", "length")]
+    try:
+        return Tube(RadiusProfile(kind, rmin, rmax, length))
+    except CapillaryFlowError as exc:
+        raise _spec_error(f"{type(exc).__name__}: {exc}", frame) from exc
+
+
+def _build_network(doc) -> NetworkElement:
+    """The element tree of a decoded spec, by one walk with an explicit stack.
+
+    Nodes are checked in document order, each before its children, so the
+    first problem in the document is the one reported.
+    """
+    # A frame is (factory, remaining JSON elements, children built so far,
+    # enclosing frame); the document sits alone in a root frame, which has
+    # no enclosing one.
+    stack = [(None, iter((doc,)), [], None)]
+    while True:
+        frame = stack[-1]
+        build, remaining, children, enclosing = frame
+        for node in remaining:
+            if type(node) is not dict:
+                raise _spec_error(f"expected an object, got {type(node).__name__}", frame)
+            if "type" not in node:
+                raise _spec_error('missing "type"', frame)
+            node_type = node["type"]
+            if node_type == "tube":
+                children.append(_tube(node, frame))
+                continue
+            factory = _FACTORIES.get(node_type) if type(node_type) is str else None
+            if factory is None:
+                raise _spec_error(
+                    f'unknown node type {node_type!r}; expected "tube", "series", or "parallel"',
+                    frame,
+                )
+            if node.keys() != _COMPOSITE_KEYS:
+                unknown = node.keys() - _COMPOSITE_KEYS
+                if unknown:
+                    raise _spec_error(f'unknown key "{min(unknown)}" in {node_type} node', frame)
+                raise _spec_error(f'{node_type} node missing "elements"', frame)
+            elements = node["elements"]
+            if type(elements) is not list:
+                raise _spec_error('"elements" must be an array', frame)
+            stack.append((factory, iter(elements), [], frame))
+            break
+        else:
+            # Every child of this frame is built.
+            stack.pop()
+            if enclosing is None:
+                return children[0]
+            try:
+                element = build(children)
+            except CapillaryFlowError as exc:
+                raise _spec_error(f"{type(exc).__name__}: {exc}", enclosing) from exc
+            enclosing[2].append(element)
 
 
 def parse_network_text(text: str) -> NetworkElement:
     """Parse a network spec document (JSON) into a NetworkElement tree.
 
     Raises NetworkSpecError with a document location on any syntax or
-    validation problem, including nesting deeper than the recursive
-    decoder and parser can follow (a few hundred levels).
+    validation problem.  The tree is built without recursion, so the only
+    depth limit is the JSON decoder's: nesting it cannot follow (about 490
+    series/parallel levels) is reported as "nesting too deep to parse".
     """
     try:
-        return _parse_network_node(json.loads(text), "$")
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkSpecError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
         ) from exc
     except RecursionError as exc:
         raise NetworkSpecError("nesting too deep to parse", "$") from exc
+    except ValueError as exc:
+        # an integer literal with more digits than int() converts
+        raise NetworkSpecError(f"invalid JSON: {exc}", "$") from exc
+    return _build_network(doc)
+
+
+def _read_spec(path: str) -> str:
+    """The file's text, newlines translated as a text-mode read translates them.
+
+    Invalid UTF-8 is a NetworkSpecError at the line and column of the first
+    bad byte.  CR and LF bytes occur in UTF-8 only as themselves, so the
+    translation can run before decoding.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        line = head.count("\n") + 1
+        column = len(head) - head.rfind("\n")
+        raise NetworkSpecError(f"invalid UTF-8: {exc.reason}", f"line {line} column {column}") from exc
 
 
 @cli.command("network")
@@ -449,21 +515,15 @@ def cmd_network(file, viscosity, flow, pressure, fmt):
     with _usage_errors():
         fluid = Fluid(viscosity)
     try:
-        with open(file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        element = parse_network_text(_read_spec(file))
     except OSError as exc:
         click.echo(f"error: cannot read {file}: {exc}", err=True)
         sys.exit(3)
-    try:
-        element = parse_network_text(text)
     except NetworkSpecError as exc:
         raise click.UsageError(str(exc)) from exc
 
     with _usage_errors():
-        try:
-            res = network_resistance(element, fluid)
-        except RecursionError as exc:
-            raise click.UsageError("$: nesting too deep to evaluate") from exc
+        res = network_resistance(element, fluid)
     if flow is not None:
         _require_finite("--flow", flow)
         given_name, given_value, given_unit = "flow_rate", flow, _U_FLOW

@@ -45,14 +45,17 @@ class GeometryRangeError(CapillaryFlowError, ValueError):
 
     The radii and length are valid on their own, but evaluating the closed
     form for this combination of them under- or overflows double precision.
+    Also raised when a network's composed geometric factor leaves the
+    positive finite doubles.
     """
 
 
 class FlowRangeError(CapillaryFlowError, ValueError):
-    """A pressure drop or flow rate came out as no finite double.
+    """A pressure drop, flow rate or resistance came out as no finite double.
 
     Either an input was NaN, or the product or quotient of finite inputs
-    overflowed double precision.
+    overflowed double precision; a resistance that underflows to 0 is out
+    of range too.
     """
 
 

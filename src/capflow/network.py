@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .analytic import Fluid, HydraulicResistance, inverse_r4_integral
-from .errors import EmptyCompositeError
+from .analytic import Fluid, HydraulicResistance, _resistance_of, inverse_r4_integral
+from .errors import EmptyCompositeError, GeometryRangeError
 from .geometry import RadiusProfile
-from .summation import neumaier_sum
 
 __all__ = [
     "Tube",
@@ -69,27 +68,54 @@ NetworkElement = Union[Tube, Series, Parallel]
 
 
 def _geometric_factor(element: NetworkElement) -> float:
-    """The composed G = (8/pi) * I of the subtree, in 1/m^3.
+    """The composed G = (8/pi) * I of the tree, in 1/m^3.
 
-    Child contributions are accumulated with compensated summation in the
-    stored child order, so permuting children moves the result by at most
-    one final rounding.
+    A post-order walk with an explicit stack, so a tree of any depth
+    composes.  Series factors and parallel reciprocals are summed by
+    math.fsum, which rounds correctly, so the order of children cannot
+    change the result.  Raises GeometryRangeError when a sum overflows or a
+    parallel child's factor is 0.
     """
-    if isinstance(element, Tube):
-        return (8.0 / math.pi) * inverse_r4_integral(element.profile)
-    if isinstance(element, Series):
-        return neumaier_sum(_geometric_factor(child) for child in element.elements)
-    if isinstance(element, Parallel):
-        return 1.0 / neumaier_sum(
-            1.0 / _geometric_factor(child) for child in element.elements
-        )
-    raise TypeError(f"not a network element: {element!r}")
+    # Each frame is (is_series, remaining children, factors of the children
+    # done so far); the root sits alone in a series frame, which passes its
+    # factor through unchanged.
+    stack = [(True, iter((element,)), [])]
+    try:
+        while True:
+            is_series, remaining, factors = stack[-1]
+            for node in remaining:
+                if isinstance(node, Tube):
+                    factors.append((8.0 / math.pi) * inverse_r4_integral(node.profile))
+                elif isinstance(node, Series):
+                    stack.append((True, iter(node.elements), []))
+                    break
+                elif isinstance(node, Parallel):
+                    stack.append((False, iter(node.elements), []))
+                    break
+                else:
+                    raise TypeError(f"not a network element: {node!r}")
+            else:
+                stack.pop()
+                if is_series:
+                    g = math.fsum(factors)
+                else:
+                    g = 1.0 / math.fsum([1.0 / f for f in factors])
+                if not stack:
+                    return g
+                stack[-1][2].append(g)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise GeometryRangeError(
+            "the composed geometric factor G of a subtree leaves the double range"
+        ) from exc
 
 
 def network_resistance(element: NetworkElement, fluid: Fluid) -> HydraulicResistance:
-    """Total resistance of the tree: tubes compose by series/parallel rules."""
-    g = _geometric_factor(element)
-    return HydraulicResistance(resistance=fluid.viscosity * g, geometric_factor=g)
+    """Total resistance of the tree: tubes compose by series/parallel rules.
+
+    Raises GeometryRangeError when the composed G is no positive finite
+    double, and FlowRangeError when mu * G is not.
+    """
+    return _resistance_of(_geometric_factor(element), fluid)
 
 
 def network_pressure_drop(element: NetworkElement, flow_rate: float, fluid: Fluid) -> float:

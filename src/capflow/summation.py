@@ -1,9 +1,8 @@
 """Summation rules.
 
-Compensated (Neumaier) summation is used wherever the contracts demand
-order-stable, near-exact accumulation: quadrature panel totals and network
-resistance sums.  Pairwise summation is the quadrature's running estimate
-between generations.
+Compensated (Neumaier) summation gives the quadrature's panel totals;
+pairwise summation is its running estimate between generations.  Network
+composition uses math.fsum, which rounds correctly.
 """
 
 from __future__ import annotations

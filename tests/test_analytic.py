@@ -191,6 +191,34 @@ class TestFlowRangeError:
         assert pressure_drop(self.CONICAL, 1e290, Fluid(1e3)) > 1e290
 
 
+class TestResistanceRange:
+    CONICAL = make_profile(ShapeKind.CONICAL, 1e-3, 2e-3, 0.1)
+
+    def test_overflowing_resistance(self):
+        with pytest.raises(FlowRangeError, match="resistance inf"):
+            hydraulic_resistance(self.CONICAL, Fluid(1e300))
+
+    def test_flow_rate_through_overflowing_resistance(self):
+        with pytest.raises(FlowRangeError, match="resistance inf"):
+            flow_rate(self.CONICAL, 1.0, Fluid(1e300))
+
+    def test_underflowing_resistance(self):
+        wide = make_profile(ShapeKind.STRAIGHT, 1e70, 1e70, 1e-3)
+        with pytest.raises(FlowRangeError, match="resistance 0.0"):
+            hydraulic_resistance(wide, Fluid(1e-300))
+
+    def test_overflowing_geometric_factor(self):
+        # I = L/r^4 = 1e308 is finite, G = (8/pi) I is not
+        narrow = make_profile(ShapeKind.STRAIGHT, 1e-77, 1e-77, 1.0)
+        assert inverse_r4_integral(narrow) == 1e308
+        with pytest.raises(GeometryRangeError, match="G = inf"):
+            hydraulic_resistance(narrow, WATER)
+
+    def test_extreme_but_finite_resistance_passes(self):
+        res = hydraulic_resistance(self.CONICAL, Fluid(1e290))
+        assert res.resistance == 1e290 * res.geometric_factor
+
+
 class TestPressureDrop:
     @pytest.mark.parametrize("token", sorted(ref.PRESSURE))
     def test_frozen(self, token):

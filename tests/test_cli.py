@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 import reference_data as ref
 from procenv import ENV
 
-from capflow import NetworkSpecError
+from capflow import NetworkSpecError, ShapeKind, inverse_r4_integral, make_profile
 from capflow.cli import parse_network_text
 
 CANONICAL_TUBE = ["--rmin", "1e-3", "--rmax", "2e-3", "--length", "0.1"]
@@ -348,6 +349,15 @@ def chain_text(depth):
     return opening + tube + "]}" * depth
 
 
+def chain_factor(depth):
+    """G of ``chain_text(depth)``, composed from the innermost level out with math.fsum."""
+    leaf = (8.0 / math.pi) * inverse_r4_integral(make_profile(ShapeKind.CONICAL, 1e-3, 2e-3, 0.1))
+    g = leaf
+    for level in reversed(range(depth)):
+        g = math.fsum([leaf, g]) if level % 2 else 1.0 / math.fsum([1.0 / leaf, 1.0 / g])
+    return g
+
+
 class TestNetwork:
     def test_single_tube(self, tmp_path):
         path = write_network(tmp_path, tube_node("conical"))
@@ -481,12 +491,20 @@ class TestNetwork:
         r = run_cli("network", str(tmp_path / "absent.json"), *FLUID, "--flow", "1e-9")
         assert r.returncode == 2
 
-    @pytest.mark.parametrize("depth", [400, 2000])
+    def test_nesting_400_deep_composes(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(chain_text(400), encoding="utf-8")
+        r = run_cli("network", str(path), *FLUID, "--flow", "1e-9")
+        assert r.returncode == 0
+        assert r.stderr == ""
+        assert parse_plain(r.stdout)["geometric_factor"][0] == chain_factor(400)
+
+    @pytest.mark.parametrize("depth", [2000])
     def test_deep_nesting_is_usage_error(self, tmp_path, depth):
         path = tmp_path / "deep.json"
         path.write_text(chain_text(depth), encoding="utf-8")
         r = run_cli("network", str(path), *FLUID, "--flow", "1e-9")
-        assert_usage_error(r, "$: nesting too deep")
+        assert_usage_error(r, "$: nesting too deep to parse")
 
     def test_deep_nesting_is_a_spec_error_in_the_parser(self):
         with pytest.raises(NetworkSpecError, match="nesting too deep"):
@@ -505,6 +523,37 @@ class TestNetwork:
         path = write_network(tmp_path, tube_node("conical"))
         r = run_cli("network", path, *given)
         assert_usage_error(r, "FlowRangeError")
+
+    def test_overflowing_resistance_is_usage_error(self, tmp_path):
+        path = write_network(tmp_path, tube_node("conical"))
+        r = run_cli("network", path, "--viscosity", "1e300", "--pressure", "1")
+        assert_usage_error(r, "FlowRangeError", "resistance inf")
+
+    def test_underflowing_network_factor_is_usage_error(self, tmp_path):
+        huge = tube_node("straight", rmin=1e77)
+        path = write_network(tmp_path, {"type": "parallel", "elements": [huge]})
+        r = run_cli("network", path, *FLUID, "--flow", "1e-9")
+        assert_usage_error(r, "GeometryRangeError")
+
+    def test_non_utf8_file_reports_line_and_column(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"type": "tube",\r\n "shape": "coni\xe7al"}')
+        r = run_cli("network", str(path), *FLUID, "--flow", "1e-9")
+        assert_usage_error(r, "line 2 column 16: invalid UTF-8")
+
+    @pytest.mark.parametrize(
+        "field, literal",
+        [("shape", '["conical"]'), ("rmin", "1" + "0" * 400), ("rmin", "1" + "0" * 5000)],
+        ids=["list-shape", "int-beyond-double", "int-beyond-digit-limit"],
+    )
+    def test_malformed_field_is_usage_error(self, tmp_path, field, literal):
+        node = tube_node("conical")
+        node[field] = 0
+        text = json.dumps(node).replace(f'"{field}": 0', f'"{field}": {literal}')
+        path = tmp_path / "network.json"
+        path.write_text(text, encoding="utf-8")
+        r = run_cli("network", str(path), *FLUID, "--flow", "1e-9")
+        assert_usage_error(r, "$")
 
     def test_string_radius_rejected(self, tmp_path):
         node = tube_node("conical")

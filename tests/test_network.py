@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -11,11 +12,13 @@ from capflow import (
     EmptyCompositeError,
     Fluid,
     FlowRangeError,
+    GeometryRangeError,
     Parallel,
     Series,
     ShapeKind,
     Tube,
     hydraulic_resistance,
+    inverse_r4_integral,
     make_profile,
     network_flow_rate,
     network_pressure_drop,
@@ -36,6 +39,52 @@ def canonical_tube(token):
 
 def straight_tube(radius, length):
     return Tube(make_profile(ShapeKind.STRAIGHT, radius, radius, length))
+
+
+def reference_factor(element):
+    """G of a tree by an explicit stack and math.fsum, sharing no code with capflow.network."""
+    done = []
+    stack = [(element, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, Tube):
+            done.append((8.0 / math.pi) * inverse_r4_integral(node.profile))
+        elif not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.elements))
+        else:
+            count = len(node.elements)
+            terms = done[-count:]
+            del done[-count:]
+            if isinstance(node, Series):
+                done.append(math.fsum(terms))
+            else:
+                done.append(1.0 / math.fsum([1.0 / t for t in terms]))
+    return done[0]
+
+
+def random_tube(rng):
+    kind = rng.choice(list(ShapeKind))
+    r_min = 10.0 ** rng.uniform(-5.0, -2.0)
+    r_max = r_min if kind is ShapeKind.STRAIGHT else r_min * (1.0 + 10.0 ** rng.uniform(-6.0, 1.0))
+    return Tube(make_profile(kind, r_min, r_max, 10.0 ** rng.uniform(-3.0, 0.0)))
+
+
+def random_tree(rng, levels):
+    """A tree ``levels`` deep, 1-4 children per node, with random tubes at the leaves."""
+    if levels == 0 or rng.random() < 0.2:
+        return random_tube(rng)
+    factory = rng.choice((Series, Parallel))
+    return factory([random_tree(rng, levels - 1) for _ in range(rng.randint(1, 4))])
+
+
+def shuffled(element, rng):
+    """The same tree with the children of every node in a random order."""
+    if isinstance(element, Tube):
+        return element
+    children = [shuffled(child, rng) for child in element.elements]
+    rng.shuffle(children)
+    return type(element)(children)
 
 
 class TestLeaf:
@@ -141,13 +190,13 @@ class TestComposition:
         tubes = [canonical_tube(token) for token in FIVE_TOKENS]
         forward = network_resistance(Series(tubes), WATER).resistance
         backward = network_resistance(Series(tubes[::-1]), WATER).resistance
-        assert forward == pytest.approx(backward, rel=1e-14)
+        assert forward == backward
 
     def test_parallel_order_independent(self):
         tubes = [canonical_tube(token) for token in FIVE_TOKENS]
         forward = network_resistance(Parallel(tubes), WATER).resistance
         backward = network_resistance(Parallel(tubes[::-1]), WATER).resistance
-        assert forward == pytest.approx(backward, rel=1e-14)
+        assert forward == backward
 
     def test_mixed_tree(self):
         # Two parallel canonical conicals feeding a sinusoidal: G composes
@@ -221,3 +270,61 @@ class TestFlowRange:
             network_pressure_drop(self.NETWORK, math.nan, WATER)
         with pytest.raises(FlowRangeError):
             network_flow_rate(self.NETWORK, math.nan, WATER)
+
+
+class TestDepth:
+    def test_5000_deep_alternating_tree(self):
+        rng = random.Random(5000)
+        tree = random_tube(rng)
+        for level in range(5000):
+            factory = Series if level % 2 else Parallel
+            tree = factory([random_tube(rng), tree, random_tube(rng)][: 2 + level % 2])
+        got = network_resistance(tree, WATER)
+        assert got.geometric_factor == reference_factor(tree)
+        assert got.resistance == WATER.viscosity * got.geometric_factor
+
+    def test_5000_deep_single_child_chain_is_transparent(self):
+        tube = canonical_tube("sinusoidal")
+        tree = tube
+        for level in range(5000):
+            tree = (Series if level % 2 else Parallel)([tree])
+        assert network_resistance(tree, WATER) == network_resistance(tube, WATER)
+
+
+class TestCorrectRounding:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_permuting_children_gives_bit_equal_factor(self, seed):
+        rng = random.Random(seed)
+        tree = random_tree(rng, 4)
+        want = network_resistance(tree, WATER).geometric_factor
+        assert want == reference_factor(tree)
+        for _ in range(3):
+            assert network_resistance(shuffled(tree, rng), WATER).geometric_factor == want
+
+    def test_series_is_the_correctly_rounded_sum(self):
+        # Summed left to right these factors round an ulp low; fsum rounds the exact sum.
+        tubes = [straight_tube(1e-3, 1.0), straight_tube(1e-3, 1e-16), straight_tube(1e-3, 1e-16)]
+        factors = [network_resistance(tube, WATER).geometric_factor for tube in tubes]
+        assert network_resistance(Series(tubes), WATER).geometric_factor == math.fsum(factors)
+
+
+class TestGeometryRange:
+    HUGE = straight_tube(1e77, 0.1)   # G ~ 2.5e-309, whose reciprocal overflows
+
+    def test_parallel_of_a_vanishing_factor(self):
+        with pytest.raises(GeometryRangeError, match="G = 0.0"):
+            network_resistance(Parallel([self.HUGE]), WATER)
+
+    def test_series_sum_overflow(self):
+        narrow = straight_tube(1.2e-77, 1.0)   # G ~ 1.2e308 each
+        with pytest.raises(GeometryRangeError, match="leaves the double range"):
+            network_resistance(Series([narrow, narrow]), WATER)
+
+    def test_zero_factor_inside_a_parallel(self):
+        tree = Parallel([Parallel([self.HUGE]), canonical_tube("conical")])
+        with pytest.raises(GeometryRangeError):
+            network_resistance(tree, WATER)
+
+    def test_overflowing_resistance(self):
+        with pytest.raises(FlowRangeError, match="resistance inf"):
+            network_resistance(Series([canonical_tube("conical")]), Fluid(1e300))
