@@ -11,7 +11,6 @@ numpy: ``import capflow`` and the closed forms run without it.
 
 from .analytic import (
     Fluid,
-    FlowState,
     HydraulicResistance,
     equivalent_radius,
     flow_rate,
@@ -32,7 +31,6 @@ from .errors import (
     NotConvergedError,
     OutOfDomainError,
     RadiusOrderError,
-    SignMismatchError,
     StraightRadiusMismatchError,
     TooFewSamplesError,
 )
@@ -60,6 +58,20 @@ from .network import (
 
 __version__ = "0.1.0"
 
+# Served by __getattr__, so that numpy loads only when one is first used.
+_QUADRATURE_EXPORTS = (
+    "QuadratureConfig",
+    "QuadratureResult",
+    "VerificationReport",
+    "DEFAULT_CONFIG",
+    "adaptive_integrate",
+    "integrate_inverse_r4",
+    "numeric_pressure_drop",
+    "verify_analytic",
+    "random_profile",
+    "verification_sweep",
+)
+
 __all__ = [
     "__version__",
     # geometry
@@ -75,7 +87,6 @@ __all__ = [
     "sample_profile",
     # analytic
     "Fluid",
-    "FlowState",
     "HydraulicResistance",
     "poiseuille_pressure_drop",
     "pressure_drop",
@@ -84,16 +95,7 @@ __all__ = [
     "equivalent_radius",
     "inverse_r4_integral",
     # quadrature
-    "QuadratureConfig",
-    "QuadratureResult",
-    "VerificationReport",
-    "DEFAULT_CONFIG",
-    "adaptive_integrate",
-    "integrate_inverse_r4",
-    "numeric_pressure_drop",
-    "verify_analytic",
-    "random_profile",
-    "verification_sweep",
+    *_QUADRATURE_EXPORTS,
     # network
     "Tube",
     "Series",
@@ -109,7 +111,6 @@ __all__ = [
     "StraightRadiusMismatchError",
     "NonPositiveLengthError",
     "NonPositiveViscosityError",
-    "SignMismatchError",
     "OutOfDomainError",
     "GeometryRangeError",
     "FlowRangeError",
@@ -118,21 +119,6 @@ __all__ = [
     "NotConvergedError",
     "NetworkSpecError",
 ]
-
-_QUADRATURE_EXPORTS = frozenset(
-    {
-        "DEFAULT_CONFIG",
-        "QuadratureConfig",
-        "QuadratureResult",
-        "VerificationReport",
-        "adaptive_integrate",
-        "integrate_inverse_r4",
-        "numeric_pressure_drop",
-        "random_profile",
-        "verification_sweep",
-        "verify_analytic",
-    }
-)
 
 
 def __getattr__(name: str):
@@ -145,4 +131,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _QUADRATURE_EXPORTS)
+    return sorted(set(globals()).union(_QUADRATURE_EXPORTS))

@@ -36,13 +36,11 @@ from .errors import (
     FlowRangeError,
     GeometryRangeError,
     NonPositiveViscosityError,
-    SignMismatchError,
 )
 from .geometry import RadiusProfile, ShapeKind, _acosh_of_ratio, make_profile
 
 __all__ = [
     "Fluid",
-    "FlowState",
     "HydraulicResistance",
     "poiseuille_pressure_drop",
     "pressure_drop",
@@ -67,28 +65,6 @@ class Fluid:
         if not (self.viscosity > 0.0) or not math.isfinite(self.viscosity):
             raise NonPositiveViscosityError(
                 f"viscosity must be positive and finite, got {self.viscosity!r}"
-            )
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """A signed (Q, P) operating point; the linear relation keeps the signs
-
-    of flow rate and pressure drop equal (both may be zero).
-    """
-
-    flow_rate: float
-    pressure_drop: float
-
-    def __post_init__(self):
-        if math.isnan(self.flow_rate) or math.isnan(self.pressure_drop):
-            raise SignMismatchError("flow state components must not be NaN")
-        if (self.flow_rate > 0 and self.pressure_drop < 0) or (
-            self.flow_rate < 0 and self.pressure_drop > 0
-        ) or (self.flow_rate == 0) != (self.pressure_drop == 0):
-            raise SignMismatchError(
-                f"flow rate and pressure drop must share sign, got "
-                f"Q={self.flow_rate!r}, P={self.pressure_drop!r}"
             )
 
 

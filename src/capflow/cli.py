@@ -13,37 +13,27 @@ numerics use 17 significant digits so piped values round-trip exactly;
 JSON numbers are emitted by the standard serializer, which is also
 round-trip exact.  Identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/validation error,
-3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage/validation error
+(any CapillaryFlowError, such as a closed form, network or sampled profile
+that leaves double range), 3 I/O error.
 """
 
 from __future__ import annotations
 
-import contextlib
-import enum
-import csv
-import io
 import json
 import math
 import sys
 
 import click
 
-from .analytic import Fluid, flow_rate, hydraulic_resistance, pressure_drop
+from .analytic import Fluid, flow_rate, pressure_drop
 from .errors import CapillaryFlowError, NetworkSpecError
 from .geometry import CORRUGATED, RadiusProfile, ShapeKind, make_profile, sample_profile
 from .network import NetworkElement, Parallel, Series, Tube, network_resistance
 
-__all__ = ["main", "OutputFormat", "parse_network_text"]
+__all__ = ["main", "parse_network_text"]
 
 
-class OutputFormat(enum.Enum):
-    PLAIN = "plain"
-    CSV = "csv"
-    JSON = "json"
-
-
-_SHAPE_TOKENS = [kind.value for kind in ShapeKind]
 _TOKEN_TO_KIND = {kind.value: kind for kind in ShapeKind}
 
 # Unit tokens used in plain lines and JSON records.
@@ -54,30 +44,48 @@ _U_VISCOSITY = "Pa_s"
 _U_RESISTANCE = "Pa_s_per_m3"
 _U_GEOMETRIC = "per_m3"
 
-
-def _num(value: float) -> str:
-    """Full round-trip decimal form (17 significant digits)."""
-    return format(float(value), ".17g")
-
-
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
+# The quantity a command is given and the one it answers: (option, name, unit).
+_FLOW = ("--flow", "flow_rate", _U_FLOW)
+_PRESSURE = ("--pressure", "pressure_drop", _U_PRESSURE)
 
 
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _cell(value) -> str:
+    """A CSV cell or plain value: flags as true/false, floats at 17 significant digits.
+
+    Seventeen digits round-trip every double; tokens and counts print as they are.
+    """
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _csv_table(header: list[str], rows) -> str:
+    # No cell needs quoting: cells are names, shape tokens, numbers and flags.
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
 
 
 def _json_doc(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _quantity(value: float, unit: str) -> dict:
-    return {"value": float(value), "unit": unit}
+def _emit_record(fmt: str, fields: list[tuple], plain: tuple[str, ...], csv_start: int = 0) -> None:
+    """Write one record of (name, value, unit) fields; unit is None for a bare value.
+
+    JSON shows every field, CSV the fields from ``csv_start`` on, and plain
+    the fields named in ``plain``, as ``name value unit`` lines.
+    """
+    if fmt == "plain":
+        out = "".join(f"{name} {_cell(value)} {unit}\n" for name, value, unit in fields if name in plain)
+    elif fmt == "csv":
+        shown = fields[csv_start:]
+        out = _csv_table([name for name, _, _ in shown], [[value for _, value, _ in shown]])
+    else:
+        out = _json_doc(
+            {name: value if unit is None else {"value": value, "unit": unit} for name, value, unit in fields}
+        )
+    click.echo(out, nl=False)
 
 
 def _require_finite(flag: str, value: float) -> None:
@@ -85,13 +93,14 @@ def _require_finite(flag: str, value: float) -> None:
         raise click.UsageError(f"{flag} must be finite, got {value!r}")
 
 
-@contextlib.contextmanager
-def _usage_errors():
-    """Report a library validation error as a usage error (exit 2)."""
-    try:
-        yield
-    except CapillaryFlowError as exc:
-        raise click.UsageError(f"{type(exc).__name__}: {exc}") from exc
+class _Command(click.Command):
+    """A command that reports a library validation error as a usage error (exit 2)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except CapillaryFlowError as exc:
+            raise click.UsageError(f"{type(exc).__name__}: {exc}", ctx) from exc
 
 
 def _geometry_options(f):
@@ -100,7 +109,7 @@ def _geometry_options(f):
     f = click.option("--rmin", type=float, required=True, help="Waist radius r_min [m].")(f)
     f = click.option(
         "--shape",
-        type=click.Choice(_SHAPE_TOKENS),
+        type=click.Choice(list(_TOKEN_TO_KIND)),
         required=True,
         help="Radius profile.",
     )(f)
@@ -110,8 +119,8 @@ def _geometry_options(f):
 _format_option = click.option(
     "--format",
     "fmt",
-    type=click.Choice([member.value for member in OutputFormat]),
-    default=OutputFormat.PLAIN.value,
+    type=click.Choice(["plain", "csv", "json"]),
+    default="plain",
     show_default=True,
     help="Output format.",
 )
@@ -122,17 +131,26 @@ def cli():
     """Laminar-flow relations for converging-diverging capillaries."""
 
 
+cli.command_class = _Command
+
+
 # --- single-tube commands -------------------------------------------------
 
 
-def _tube_record(profile: RadiusProfile, viscosity: float) -> dict:
-    return {
-        "shape": profile.kind.value,
-        "r_min": _quantity(profile.r_min, _U_LENGTH),
-        "r_max": _quantity(profile.r_max, _U_LENGTH),
-        "length": _quantity(profile.length, _U_LENGTH),
-        "viscosity": _quantity(viscosity, _U_VISCOSITY),
-    }
+def _emit_tube(fmt, shape, rmin, rmax, length, viscosity, given, value, answer, relation) -> None:
+    """pdrop and qflow: ``relation`` of one tube at the ``given`` quantity's value."""
+    _require_finite(given[0], value)
+    result = relation(make_profile(_TOKEN_TO_KIND[shape], rmin, rmax, length), value, Fluid(viscosity))
+    fields = [
+        ("shape", shape, None),
+        ("r_min", rmin, _U_LENGTH),
+        ("r_max", rmax, _U_LENGTH),
+        ("length", length, _U_LENGTH),
+        ("viscosity", viscosity, _U_VISCOSITY),
+        (given[1], value, given[2]),
+        (answer[1], result, answer[2]),
+    ]
+    _emit_record(fmt, fields, plain=(answer[1],))
 
 
 @cli.command("pdrop")
@@ -142,25 +160,7 @@ def _tube_record(profile: RadiusProfile, viscosity: float) -> dict:
 @_format_option
 def cmd_pdrop(shape, rmin, rmax, length, viscosity, flow, fmt):
     """Pressure drop across one tube at flow rate Q."""
-    _require_finite("--flow", flow)
-    with _usage_errors():
-        profile = make_profile(_TOKEN_TO_KIND[shape], rmin, rmax, length)
-        fluid = Fluid(viscosity)
-        value = pressure_drop(profile, flow, fluid)
-
-    if fmt == OutputFormat.PLAIN.value:
-        out = f"pressure_drop {_num(value)} {_U_PRESSURE}\n"
-    elif fmt == OutputFormat.CSV.value:
-        out = _csv_table(
-            ["shape", "r_min", "r_max", "length", "viscosity", "flow_rate", "pressure_drop"],
-            [[shape, _num(rmin), _num(rmax), _num(length), _num(viscosity), _num(flow), _num(value)]],
-        )
-    else:
-        record = _tube_record(profile, viscosity)
-        record["flow_rate"] = _quantity(flow, _U_FLOW)
-        record["pressure_drop"] = _quantity(value, _U_PRESSURE)
-        out = _json_doc(record)
-    click.echo(out, nl=False)
+    _emit_tube(fmt, shape, rmin, rmax, length, viscosity, _FLOW, flow, _PRESSURE, pressure_drop)
 
 
 @cli.command("qflow")
@@ -170,25 +170,7 @@ def cmd_pdrop(shape, rmin, rmax, length, viscosity, flow, fmt):
 @_format_option
 def cmd_qflow(shape, rmin, rmax, length, viscosity, pressure, fmt):
     """Flow rate through one tube at pressure drop P."""
-    _require_finite("--pressure", pressure)
-    with _usage_errors():
-        profile = make_profile(_TOKEN_TO_KIND[shape], rmin, rmax, length)
-        fluid = Fluid(viscosity)
-        value = flow_rate(profile, pressure, fluid)
-
-    if fmt == OutputFormat.PLAIN.value:
-        out = f"flow_rate {_num(value)} {_U_FLOW}\n"
-    elif fmt == OutputFormat.CSV.value:
-        out = _csv_table(
-            ["shape", "r_min", "r_max", "length", "viscosity", "pressure_drop", "flow_rate"],
-            [[shape, _num(rmin), _num(rmax), _num(length), _num(viscosity), _num(pressure), _num(value)]],
-        )
-    else:
-        record = _tube_record(profile, viscosity)
-        record["pressure_drop"] = _quantity(pressure, _U_PRESSURE)
-        record["flow_rate"] = _quantity(value, _U_FLOW)
-        out = _json_doc(record)
-    click.echo(out, nl=False)
+    _emit_tube(fmt, shape, rmin, rmax, length, viscosity, _PRESSURE, pressure, _FLOW, flow_rate)
 
 
 @cli.command("profile")
@@ -204,20 +186,12 @@ def cmd_qflow(shape, rmin, rmax, length, viscosity, pressure, fmt):
 )
 def cmd_profile(shape, rmin, rmax, length, samples, fmt, out_path):
     """Uniformly sampled (x, r) table over [-L/2, L/2]."""
-    with _usage_errors():
-        table = sample_profile(make_profile(_TOKEN_TO_KIND[shape], rmin, rmax, length), samples)
-
-    if fmt == OutputFormat.JSON.value:
-        out = _json_doc(
-            {
-                "shape": shape,
-                "units": {"x": _U_LENGTH, "r": _U_LENGTH},
-                "rows": [[xi, ri] for xi, ri in table.rows()],
-            }
-        )
+    rows = list(sample_profile(make_profile(_TOKEN_TO_KIND[shape], rmin, rmax, length), samples).rows())
+    if fmt == "json":
+        out = _json_doc({"shape": shape, "units": {"x": _U_LENGTH, "r": _U_LENGTH}, "rows": rows})
     else:
         # plain is the bare two-column table, identical to csv
-        out = _csv_table(["x", "r"], [[_num(xi), _num(ri)] for xi, ri in table.rows()])
+        out = _csv_table(["x", "r"], rows)
 
     if out_path == "-":
         click.echo(out, nl=False)
@@ -241,10 +215,26 @@ def _parse_shape_list(shapes: str) -> list[ShapeKind]:
         token = token.strip()
         if token not in _TOKEN_TO_KIND:
             raise click.UsageError(
-                f"unknown shape {token!r}; valid: {', '.join(_SHAPE_TOKENS)} or all"
+                f"unknown shape {token!r}; valid: {', '.join(_TOKEN_TO_KIND)} or all"
             )
         kinds.append(_TOKEN_TO_KIND[token])
     return kinds
+
+
+# verify's columns: (CSV and JSON name, unit or None, key in plain lines or None).
+_VERIFY_COLUMNS = (
+    ("shape", None, "shape"),
+    ("trial", None, "trial"),
+    ("r_min", _U_LENGTH, "r_min"),
+    ("r_max", _U_LENGTH, "r_max"),
+    ("length", _U_LENGTH, "length"),
+    ("analytic_pressure_drop", _U_PRESSURE, None),
+    ("numeric_pressure_drop", _U_PRESSURE, None),
+    ("relative_discrepancy", None, "discrepancy"),
+    ("oracle_error_estimate", _U_GEOMETRIC, "estimate"),
+    ("converged", None, "converged"),
+    ("passed", None, None),
+)
 
 
 @cli.command("verify")
@@ -272,76 +262,30 @@ def cmd_verify(shapes, trials, tol, seed, fmt):
     # unmeetable request then surfaces as converged=false, not a false pass.
     config = QuadratureConfig(rel_tol=min(1e-10, tol / 10.0), abs_tol=0.0, max_depth=48)
     reports = verification_sweep(kinds, trials, tol, seed, config)
+    rows = [
+        (r.profile.kind.value, i % trials, r.profile.r_min, r.profile.r_max, r.profile.length,
+         r.analytic_pressure_drop, r.numeric_pressure_drop, r.relative_discrepancy,
+         r.oracle_error_estimate, r.converged, r.passed)
+        for i, r in enumerate(reports)
+    ]
     n_failed = sum(1 for r in reports if not r.passed)
+    names = [name for name, _, _ in _VERIFY_COLUMNS]
 
-    if fmt == OutputFormat.PLAIN.value:
-        lines = []
-        for i, r in enumerate(reports):
-            lines.append(
-                f"[{'PASS' if r.passed else 'FAIL'}] shape={r.profile.kind.value}"
-                f" trial={i % trials}"
-                f" r_min={_num(r.profile.r_min)}"
-                f" r_max={_num(r.profile.r_max)}"
-                f" length={_num(r.profile.length)}"
-                f" discrepancy={_num(r.relative_discrepancy)}"
-                f" estimate={_num(r.oracle_error_estimate)}"
-                f" converged={_flag(r.converged)}"
-            )
+    if fmt == "plain":
+        lines = [
+            f"[{'PASS' if row[-1] else 'FAIL'}]"
+            + "".join(f" {key}={_cell(value)}" for (_, _, key), value in zip(_VERIFY_COLUMNS, row) if key)
+            for row in rows
+        ]
         lines.append(f"result passed={len(reports) - n_failed} failed={n_failed}")
         out = "\n".join(lines) + "\n"
-    elif fmt == OutputFormat.CSV.value:
-        rows = [
-            [
-                r.profile.kind.value,
-                str(i % trials),
-                _num(r.profile.r_min),
-                _num(r.profile.r_max),
-                _num(r.profile.length),
-                _num(r.analytic_pressure_drop),
-                _num(r.numeric_pressure_drop),
-                _num(r.relative_discrepancy),
-                _num(r.oracle_error_estimate),
-                _flag(r.converged),
-                _flag(r.passed),
-            ]
-            for i, r in enumerate(reports)
-        ]
-        out = _csv_table(
-            [
-                "shape", "trial", "r_min", "r_max", "length",
-                "analytic_pressure_drop", "numeric_pressure_drop",
-                "relative_discrepancy", "oracle_error_estimate",
-                "converged", "passed",
-            ],
-            rows,
-        )
+    elif fmt == "csv":
+        out = _csv_table(names, rows)
     else:
         out = _json_doc(
             {
-                "units": {
-                    "r_min": _U_LENGTH,
-                    "r_max": _U_LENGTH,
-                    "length": _U_LENGTH,
-                    "analytic_pressure_drop": _U_PRESSURE,
-                    "numeric_pressure_drop": _U_PRESSURE,
-                    "oracle_error_estimate": _U_GEOMETRIC,
-                },
-                "reports": [
-                    {
-                        "shape": r.profile.kind.value,
-                        "trial": i % trials,
-                        "r_min": r.profile.r_min,
-                        "r_max": r.profile.r_max,
-                        "length": r.profile.length,
-                        "analytic_pressure_drop": r.analytic_pressure_drop,
-                        "numeric_pressure_drop": r.numeric_pressure_drop,
-                        "relative_discrepancy": r.relative_discrepancy,
-                        "oracle_error_estimate": r.oracle_error_estimate,
-                        "converged": r.converged,
-                        "passed": r.passed,
-                    }
-                    for i, r in enumerate(reports)
-                ],
+                "units": {name: unit for name, unit, _ in _VERIFY_COLUMNS if unit is not None},
+                "reports": [dict(zip(names, row)) for row in rows],
                 "passed": len(reports) - n_failed,
                 "failed": n_failed,
             }
@@ -359,8 +303,8 @@ _COMPOSITE_KEYS = frozenset(("type", "elements"))
 _FACTORIES = {"series": Series, "parallel": Parallel}
 
 
-def _location(frame) -> str:
-    """Document path of the node being parsed in a _build_network frame.
+def _spec_error(message: str, frame) -> NetworkSpecError:
+    """The error for the node being parsed in a _build_network frame, at its document path.
 
     That node is the frame's next child, at index len(children); each
     enclosing frame's node sits at the same index of its own frame.
@@ -369,11 +313,20 @@ def _location(frame) -> str:
     while frame[3] is not None:
         indices.append(len(frame[2]))
         frame = frame[3]
-    return "$" + "".join(f".elements[{i}]" for i in reversed(indices))
+    return NetworkSpecError(message, "$" + "".join(f".elements[{i}]" for i in reversed(indices)))
 
 
-def _spec_error(message: str, frame) -> NetworkSpecError:
-    return NetworkSpecError(message, _location(frame))
+class _LongInteger(str):
+    """The digits of an integer literal longer than int() converts; no double is that large."""
+
+    __repr__ = str.__str__
+
+
+def _integer(digits: str):
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInteger(digits)
 
 
 def _spec_number(node: dict, key: str, frame) -> float:
@@ -384,8 +337,10 @@ def _spec_number(node: dict, key: str, frame) -> float:
         try:
             return float(value)
         except OverflowError:
-            raise _spec_error(f'"{key}" is outside the double range, got {value!r}', frame) from None
-    raise _spec_error(f'"{key}" must be a number, got {value!r}', frame)
+            pass
+    elif type(value) is not _LongInteger:
+        raise _spec_error(f'"{key}" must be a number, got {value!r}', frame)
+    raise _spec_error(f'"{key}" is outside the double range, got {value!r}', frame)
 
 
 def _tube(node: dict, frame) -> Tube:
@@ -397,7 +352,7 @@ def _tube(node: dict, frame) -> Tube:
     shape = node["shape"]
     kind = _TOKEN_TO_KIND.get(shape) if type(shape) is str else None
     if kind is None:
-        raise _spec_error(f'unknown shape {shape!r}; valid: {", ".join(_SHAPE_TOKENS)}', frame)
+        raise _spec_error(f'unknown shape {shape!r}; valid: {", ".join(_TOKEN_TO_KIND)}', frame)
     rmin, rmax, length = node["rmin"], node["rmax"], node["length"]
     if not (type(rmin) is type(rmax) is type(length) is float):
         rmin, rmax, length = [_spec_number(node, key, frame) for key in ("rmin", "rmax", "length")]
@@ -466,16 +421,15 @@ def parse_network_text(text: str) -> NetworkElement:
     series/parallel levels) is reported as "nesting too deep to parse".
     """
     try:
-        doc = json.loads(text)
+        # An integer literal longer than int() converts stays text, so that
+        # the node holding it reports it as outside the double range.
+        doc = json.loads(text, parse_int=_integer)
     except json.JSONDecodeError as exc:
         raise NetworkSpecError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
         ) from exc
     except RecursionError as exc:
         raise NetworkSpecError("nesting too deep to parse", "$") from exc
-    except ValueError as exc:
-        # an integer literal with more digits than int() converts
-        raise NetworkSpecError(f"invalid JSON: {exc}", "$") from exc
     return _build_network(doc)
 
 
@@ -512,8 +466,7 @@ def cmd_network(file, viscosity, flow, pressure, fmt):
     """
     if (flow is None) == (pressure is None):
         raise click.UsageError("exactly one of --flow or --pressure is required")
-    with _usage_errors():
-        fluid = Fluid(viscosity)
+    fluid = Fluid(viscosity)
     try:
         element = parse_network_text(_read_spec(file))
     except OSError as exc:
@@ -522,41 +475,20 @@ def cmd_network(file, viscosity, flow, pressure, fmt):
     except NetworkSpecError as exc:
         raise click.UsageError(str(exc)) from exc
 
-    with _usage_errors():
-        res = network_resistance(element, fluid)
+    res = network_resistance(element, fluid)
     if flow is not None:
-        _require_finite("--flow", flow)
-        given_name, given_value, given_unit = "flow_rate", flow, _U_FLOW
-        dual_name, dual_unit, dual = "pressure_drop", _U_PRESSURE, res.pressure_drop
+        given, value, answer, relation = _FLOW, flow, _PRESSURE, res.pressure_drop
     else:
-        _require_finite("--pressure", pressure)
-        given_name, given_value, given_unit = "pressure_drop", pressure, _U_PRESSURE
-        dual_name, dual_unit, dual = "flow_rate", _U_FLOW, res.flow_rate
-    with _usage_errors():
-        dual_value = dual(given_value)
-
-    if fmt == OutputFormat.PLAIN.value:
-        out = (
-            f"resistance {_num(res.resistance)} {_U_RESISTANCE}\n"
-            f"geometric_factor {_num(res.geometric_factor)} {_U_GEOMETRIC}\n"
-            f"{dual_name} {_num(dual_value)} {dual_unit}\n"
-        )
-    elif fmt == OutputFormat.CSV.value:
-        out = _csv_table(
-            ["resistance", "geometric_factor", given_name, dual_name],
-            [[_num(res.resistance), _num(res.geometric_factor), _num(given_value), _num(dual_value)]],
-        )
-    else:
-        out = _json_doc(
-            {
-                "viscosity": _quantity(viscosity, _U_VISCOSITY),
-                "resistance": _quantity(res.resistance, _U_RESISTANCE),
-                "geometric_factor": _quantity(res.geometric_factor, _U_GEOMETRIC),
-                given_name: _quantity(given_value, given_unit),
-                dual_name: _quantity(dual_value, dual_unit),
-            }
-        )
-    click.echo(out, nl=False)
+        given, value, answer, relation = _PRESSURE, pressure, _FLOW, res.flow_rate
+    _require_finite(given[0], value)
+    fields = [
+        ("viscosity", viscosity, _U_VISCOSITY),
+        ("resistance", res.resistance, _U_RESISTANCE),
+        ("geometric_factor", res.geometric_factor, _U_GEOMETRIC),
+        (given[1], value, given[2]),
+        (answer[1], relation(value), answer[2]),
+    ]
+    _emit_record(fmt, fields, plain=("resistance", "geometric_factor", answer[1]), csv_start=1)
 
 
 def main():

@@ -32,10 +32,6 @@ class NonPositiveViscosityError(CapillaryFlowError, ValueError):
     """A fluid viscosity was zero or negative."""
 
 
-class SignMismatchError(CapillaryFlowError, ValueError):
-    """Flow rate and pressure drop disagreed in sign."""
-
-
 class OutOfDomainError(CapillaryFlowError, ValueError):
     """An axial position fell outside [-L/2, L/2]."""
 

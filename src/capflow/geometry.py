@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import (
+    GeometryRangeError,
     NonPositiveLengthError,
     NonPositiveRadiusError,
     OutOfDomainError,
@@ -128,17 +129,12 @@ class ShapeParameters:
     """Derived coefficients of r(x) for one profile.
 
     ``a`` and ``b`` carry shape-dependent meaning and units (see the module
-    docstring); ``wavenumber`` (k, 1/m) and ``cos_offset`` are set for the
-    sinusoidal shape only.  ``cos_offset`` is the constant in the factored
-    integrand form -b*(cos_offset + cos(k x)), equal to -(mean/amplitude) =
-    (r_max + r_min)/(r_min - r_max); it is < -1 for any genuine corrugation
-    and -inf in the degenerate r_min == r_max limit.
+    docstring); ``wavenumber`` (k, 1/m) is set for the sinusoidal shape only.
     """
 
     a: float
     b: float
     wavenumber: float | None = None
-    cos_offset: float | None = None
 
 
 def make_profile(kind: ShapeKind, r_min: float, r_max: float, length: float) -> RadiusProfile:
@@ -162,33 +158,41 @@ def _acosh_of_ratio(r_max: float, r_min: float) -> float:
 
 
 def shape_parameters(profile: RadiusProfile) -> ShapeParameters:
-    """Coefficients a, b (and k, cos_offset for sinusoidal) of r(x)."""
+    """Coefficients a, b (and k for sinusoidal) of r(x).
+
+    Raises GeometryRangeError when a coefficient is no finite double, as
+    when r_max/r_min or 1/L exceeds the double range.
+    """
     rmin, rmax, length = profile.r_min, profile.r_max, profile.length
     kind = profile.kind
-    if kind is ShapeKind.STRAIGHT:
-        return ShapeParameters(a=rmin, b=0.0)
-    if kind is ShapeKind.CONICAL:
-        return ShapeParameters(a=rmin, b=2.0 * (rmax - rmin) / length)
-    if kind is ShapeKind.PARABOLIC:
-        return ShapeParameters(a=rmin, b=(2.0 / length) ** 2 * (rmax - rmin))
-    if kind is ShapeKind.HYPERBOLIC:
-        # r_max^2 - r_min^2 as a product keeps the difference exact when
-        # the radii are nearly equal.
-        square_gap = (rmax - rmin) * (rmax + rmin)
-        return ShapeParameters(a=rmin * rmin, b=(2.0 / length) ** 2 * square_gap)
-    if kind is ShapeKind.HYPERBOLIC_COSINE:
-        return ShapeParameters(a=rmin, b=2.0 * _acosh_of_ratio(rmax, rmin) / length)
-    if kind is ShapeKind.SINUSOIDAL:
-        mean = 0.5 * (rmax + rmin)
-        amplitude = 0.5 * (rmax - rmin)
-        offset = (rmax + rmin) / (rmin - rmax) if rmax > rmin else -math.inf
-        return ShapeParameters(
-            a=mean,
-            b=amplitude,
-            wavenumber=2.0 * math.pi / length,
-            cos_offset=offset,
-        )
-    raise AssertionError(f"unhandled shape kind {kind!r}")
+    k = 0.0
+    try:
+        if kind is ShapeKind.STRAIGHT:
+            a, b = rmin, 0.0
+        elif kind is ShapeKind.CONICAL:
+            a, b = rmin, 2.0 * (rmax - rmin) / length
+        elif kind is ShapeKind.PARABOLIC:
+            a, b = rmin, (2.0 / length) ** 2 * (rmax - rmin)
+        elif kind is ShapeKind.HYPERBOLIC:
+            # r_max^2 - r_min^2 as a product keeps the difference exact when
+            # the radii are nearly equal.
+            a, b = rmin * rmin, (2.0 / length) ** 2 * ((rmax - rmin) * (rmax + rmin))
+        elif kind is ShapeKind.HYPERBOLIC_COSINE:
+            a, b = rmin, 2.0 * _acosh_of_ratio(rmax, rmin) / length
+        else:
+            a, b, k = 0.5 * (rmax + rmin), 0.5 * (rmax - rmin), 2.0 * math.pi / length
+    except OverflowError:
+        a = math.inf
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(k)):
+        raise _range_error(profile, "the coefficients of r(x) are")
+    return ShapeParameters(a, b, k if kind is ShapeKind.SINUSOIDAL else None)
+
+
+def _range_error(profile: RadiusProfile, what: str) -> GeometryRangeError:
+    return GeometryRangeError(
+        f"{what} not finite doubles for {profile.kind.value} tube "
+        f"r_min={profile.r_min!r}, r_max={profile.r_max!r}, length={profile.length!r}"
+    )
 
 
 def _radius_function(profile: RadiusProfile) -> Callable[[np.ndarray], np.ndarray]:
@@ -226,38 +230,45 @@ def _radius_function(profile: RadiusProfile) -> Callable[[np.ndarray], np.ndarra
     return radius
 
 
-def _check_domain(profile: RadiusProfile, x: np.ndarray) -> np.ndarray:
+def _radii(profile: RadiusProfile, xs: np.ndarray) -> np.ndarray:
+    """r at in-domain positions, for the public samplers.
+
+    Each radius is a finite double in [r_min, r_max].  Raises
+    GeometryRangeError when a coefficient of r(x), or a step of evaluating
+    it, leaves the double range (the clamp would hide an inf, not a NaN).
+    """
     import numpy as np
 
-    limit = profile.half_length * (1.0 + DOMAIN_TOLERANCE)
-    bad = np.abs(x) > limit
-    if bad.any():
-        worst = float(np.asarray(x)[bad].flat[0])
-        raise OutOfDomainError(
-            f"x={worst!r} lies outside [-L/2, L/2] = "
-            f"[{-profile.half_length!r}, {profile.half_length!r}]"
-        )
-    return np.clip(x, -profile.half_length, profile.half_length)
+    radius = _radius_function(profile)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return radius(xs)
+    except FloatingPointError:
+        raise _range_error(profile, "the values of r(x) are") from None
 
 
 def radius_at(profile: RadiusProfile, x: float) -> float:
     """r(x) at a single axial position x in [-L/2, L/2] (metres).
 
     Positions within 1e-12*L beyond the boundary are treated as boundary
-    values; anything farther out raises OutOfDomainError.
+    values; anything farther out, or NaN, raises OutOfDomainError.  Raises
+    GeometryRangeError when r(x) cannot be evaluated in double precision.
     """
-    import numpy as np
-
-    xs = _check_domain(profile, np.asarray(float(x)))
-    return float(_radius_function(profile)(xs))
+    return float(radius_array(profile, float(x)))
 
 
 def radius_array(profile: RadiusProfile, x) -> np.ndarray:
     """Vectorized :func:`radius_at` over an array of positions."""
     import numpy as np
 
-    xs = _check_domain(profile, np.asarray(x, dtype=float))
-    return _radius_function(profile)(xs)
+    x = np.asarray(x, dtype=float)
+    bad = ~(np.abs(x) <= profile.half_length * (1.0 + DOMAIN_TOLERANCE))
+    if bad.any():
+        raise OutOfDomainError(
+            f"x={float(x[bad].flat[0])!r} lies outside [-L/2, L/2] = "
+            f"[{-profile.half_length!r}, {profile.half_length!r}]"
+        )
+    return _radii(profile, np.clip(x, -profile.half_length, profile.half_length))
 
 
 @dataclass(frozen=True)
@@ -282,11 +293,15 @@ class ProfileTable:
 def sample_profile(profile: RadiusProfile, n_samples: int) -> ProfileTable:
     """Sample r(x) at n_samples uniform points, endpoints included.
 
-    Raises TooFewSamplesError when n_samples < 2.
+    Raises TooFewSamplesError when n_samples < 2, and GeometryRangeError
+    when r(x) cannot be evaluated in double precision.
     """
     if n_samples < 2:
         raise TooFewSamplesError(f"need at least 2 samples, got {n_samples}")
     import numpy as np
 
-    xs = np.linspace(-profile.half_length, profile.half_length, int(n_samples))
-    return ProfileTable(x=xs, r=_radius_function(profile)(xs))
+    # For L near the largest double, linspace's last step overflows before
+    # it is replaced by the endpoint.
+    with np.errstate(over="ignore"):
+        xs = np.linspace(-profile.half_length, profile.half_length, int(n_samples))
+    return ProfileTable(x=xs, r=_radii(profile, xs))

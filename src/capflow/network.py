@@ -39,29 +39,26 @@ class Tube:
 
 
 @dataclass(frozen=True, init=False)
-class Series:
-    """Elements traversed one after another (pressure drops add)."""
+class _Composite:
+    """A node of one or more elements; Series and Parallel differ only in how they compose."""
 
     elements: tuple["NetworkElement", ...]
 
     def __init__(self, elements: Iterable["NetworkElement"]):
         elements = tuple(elements)
         if not elements:
-            raise EmptyCompositeError("a series node needs at least one element")
+            raise EmptyCompositeError(f"a {type(self).__name__.lower()} node needs at least one element")
         object.__setattr__(self, "elements", elements)
 
 
 @dataclass(frozen=True, init=False)
-class Parallel:
+class Series(_Composite):
+    """Elements traversed one after another (pressure drops add)."""
+
+
+@dataclass(frozen=True, init=False)
+class Parallel(_Composite):
     """Elements sharing inlet and outlet (flow rates add)."""
-
-    elements: tuple["NetworkElement", ...]
-
-    def __init__(self, elements: Iterable["NetworkElement"]):
-        elements = tuple(elements)
-        if not elements:
-            raise EmptyCompositeError("a parallel node needs at least one element")
-        object.__setattr__(self, "elements", elements)
 
 
 NetworkElement = Union[Tube, Series, Parallel]

@@ -13,8 +13,10 @@ The integrand is evaluated on whole generations of panels at once (numpy);
 the panel bookkeeping between generations (bounds, depths, values, gaps)
 is done in Python floats, which for the handful of panels a typical
 integral needs costs less than numpy's per-call overhead.  Panel
-contributions are accumulated in ascending axial order with compensated
-summation, so results are bit-for-bit reproducible.
+contributions and gaps are summed with ``math.fsum``, which rounds
+correctly whatever the order, so results are bit-for-bit reproducible.
+The package's other summation routine, ``summation.neumaier_sum``, is kept
+only because the benchmark harness imports it, and goes with ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 from .analytic import Fluid, pressure_drop
 from .errors import NotConvergedError
 from .geometry import RadiusProfile, ShapeKind, _radius_function, make_profile
-from .summation import neumaier_sum, pairwise_sum
 
 # Not used here since the oracle builds r(x) once per profile, but kept as a
 # module attribute: the traced verify pass of perfbench swaps it together
@@ -78,22 +79,17 @@ _GAUSS_PAIR_WEIGHTS = (
 )
 _GAUSS_CENTER_WEIGHT = 0.41795918367346939
 
+
+
+def _symmetric(outer_first: tuple[float, ...], center: float, left_sign: float = 1.0) -> np.ndarray:
+    """An ascending layout on [-1, 1]: the left half (times ``left_sign``), the center, the right half."""
+    return np.array([left_sign * v for v in outer_first] + [center] + list(reversed(outer_first)))
+
+
 # Ascending 15-node layout; the 7 Gauss nodes sit at the odd indices.
-_NODES = np.array(
-    [-x for x in _KRONROD_POSITIVE]
-    + [0.0]
-    + [x for x in reversed(_KRONROD_POSITIVE)]
-)
-_WEIGHTS_K15 = np.array(
-    list(_KRONROD_PAIR_WEIGHTS)
-    + [_KRONROD_CENTER_WEIGHT]
-    + list(reversed(_KRONROD_PAIR_WEIGHTS))
-)
-_WEIGHTS_G7 = np.array(
-    list(_GAUSS_PAIR_WEIGHTS)
-    + [_GAUSS_CENTER_WEIGHT]
-    + list(reversed(_GAUSS_PAIR_WEIGHTS))
-)
+_NODES = _symmetric(_KRONROD_POSITIVE, 0.0, left_sign=-1.0)
+_WEIGHTS_K15 = _symmetric(_KRONROD_PAIR_WEIGHTS, _KRONROD_CENTER_WEIGHT)
+_WEIGHTS_G7 = _symmetric(_GAUSS_PAIR_WEIGHTS, _GAUSS_CENTER_WEIGHT)
 
 _POINTS_PER_PANEL = len(_NODES)
 
@@ -202,8 +198,9 @@ def adaptive_integrate(
     """Integrate a vectorized function over [lower, upper].
 
     ``fn`` must map an ndarray of positions to an ndarray of integrand
-    values of the same shape.  Panels are kept in ascending order and the
-    final value is their compensated sum, so the result is deterministic.
+    values of the same shape.  The value and error estimate are the
+    correctly rounded sums (``math.fsum``) of the panels' contributions, so
+    the result is deterministic.
     """
     lower = float(lower)
     upper = float(upper)
@@ -223,9 +220,8 @@ def adaptive_integrate(
     # Each generation deepens every still-active lineage by one, so
     # max_depth + 1 passes are enough; the extra headroom is defensive.
     for _generation in range(2 * max_depth + 8):
-        running = pairwise_sum(kron)
-        budget = max(config.abs_tol, config.rel_tol * abs(running))
-        if pairwise_sum(gap) <= budget:
+        budget = max(config.abs_tol, config.rel_tol * abs(math.fsum(kron)))
+        if math.fsum(gap) <= budget:
             converged = True
             break
 
@@ -273,8 +269,8 @@ def adaptive_integrate(
         lo, hi, depth, kron, gap = new_lo, new_hi, new_depth, new_kron, new_gap
 
     return QuadratureResult(
-        value=neumaier_sum(kron),
-        error_estimate=neumaier_sum(gap),
+        value=math.fsum(kron),
+        error_estimate=math.fsum(gap),
         evaluations=panels_evaluated * _POINTS_PER_PANEL,
         converged=converged,
     )

@@ -11,13 +11,11 @@ from capflow import (
     CapillaryFlowError,
     Fluid,
     FlowRangeError,
-    FlowState,
     GeometryRangeError,
     NonPositiveLengthError,
     NonPositiveRadiusError,
     NonPositiveViscosityError,
     ShapeKind,
-    SignMismatchError,
     equivalent_radius,
     flow_rate,
     hydraulic_resistance,
@@ -47,21 +45,6 @@ class TestFluid:
     def test_invalid(self, mu):
         with pytest.raises(NonPositiveViscosityError):
             Fluid(mu)
-
-
-class TestFlowState:
-    def test_same_sign_ok(self):
-        FlowState(1e-9, 0.25)
-        FlowState(-1e-9, -0.25)
-        FlowState(0.0, 0.0)
-
-    @pytest.mark.parametrize(
-        "q,p",
-        [(1e-9, -0.25), (-1e-9, 0.25), (0.0, 0.25), (1e-9, 0.0), (math.nan, 0.25), (1e-9, math.nan)],
-    )
-    def test_mismatch(self, q, p):
-        with pytest.raises(SignMismatchError):
-            FlowState(q, p)
 
 
 class TestPoiseuille:

@@ -245,6 +245,17 @@ class TestProfile:
         piped = run_cli(*self.ARGS)
         assert target.read_text(encoding="utf-8") == piped.stdout
 
+    @pytest.mark.parametrize(
+        "shape, length",
+        [("cosh", "1"), ("hyperbolic", "1e-300")],
+        ids=["cosh-nan-waist", "hyperbolic-overflow"],
+    )
+    def test_out_of_range_profile_is_usage_error(self, shape, length):
+        r = run_cli("profile", "--shape", shape, "--rmin", "1e-300", "--rmax", "1e300",
+                    "--length", length, "--samples", "3")
+        assert_usage_error(r, "GeometryRangeError")
+        assert "Warning" not in r.stderr
+
     def test_out_to_directory_is_io_error(self, tmp_path):
         r = run_cli(*self.ARGS, "--out", str(tmp_path))
         assert r.returncode == 3

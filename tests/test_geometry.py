@@ -1,14 +1,18 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import reference_data as ref
 from strategies import CORRUGATED, profiles
 
 from capflow import (
+    CapillaryFlowError,
+    GeometryRangeError,
     NonPositiveLengthError,
     NonPositiveRadiusError,
     OutOfDomainError,
@@ -99,22 +103,16 @@ class TestShapeParameters:
         assert p.a == pytest.approx(1.5e-3, rel=1e-15)
         assert p.b == pytest.approx(0.5e-3, rel=1e-15)
         assert p.wavenumber == pytest.approx(2.0 * math.pi / 0.1, rel=1e-15)
-        assert p.cos_offset == pytest.approx(-3.0, rel=1e-14)
 
     def test_sinusoidal_degenerate_offset(self):
         p = shape_parameters(make_profile(ShapeKind.SINUSOIDAL, 1e-3, 1e-3, 0.1))
         assert p.b == 0.0
-        assert p.cos_offset == -math.inf
 
     def test_straight(self):
         p = shape_parameters(make_profile(ShapeKind.STRAIGHT, 1e-3, 1e-3, 0.1))
         assert p.a == 1e-3
         assert p.b == 0.0
         assert p.wavenumber is None
-
-    def test_corrugated_offset_below_minus_one(self):
-        p = shape_parameters(canonical(ShapeKind.SINUSOIDAL))
-        assert p.cos_offset < -1.0
 
 
 class TestRadiusAt:
@@ -231,3 +229,58 @@ class TestSampleProfile:
         assert t.x[-1] == profile.half_length
         assert np.all(t.r >= profile.r_min)
         assert np.all(t.r <= profile.r_max)
+
+
+POSITIVE_DOUBLES = st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True)
+
+
+class TestSamplerRange:
+    """Over the whole positive double range, each sampler gives finite radii
+    in [r_min, r_max] or raises a CapillaryFlowError, and never warns."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        radii=st.tuples(POSITIVE_DOUBLES, POSITIVE_DOUBLES).map(sorted),
+        length=POSITIVE_DOUBLES,
+        t=st.floats(-1.0, 1.0),
+        n=st.integers(2, 9),
+    )
+    def test_finite_radii_or_a_typed_error(self, kind, radii, length, t, n):
+        r_min, r_max = radii
+        profile = make_profile(kind, r_min, r_min if kind is ShapeKind.STRAIGHT else r_max, length)
+        positions = np.array([-1.0, t, 0.0, 1.0]) * profile.half_length
+        samplers = (
+            lambda: [radius_at(profile, t * profile.half_length)],
+            lambda: radius_array(profile, positions),
+            lambda: sample_profile(profile, n).r,
+        )
+        for sampler in samplers:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    r = np.asarray(sampler())
+                except CapillaryFlowError:
+                    continue
+            assert np.isfinite(r).all()
+            assert (profile.r_min <= r).all() and (r <= profile.r_max).all()
+
+    @pytest.mark.parametrize(
+        "kind, r_min, r_max, length",
+        [
+            (ShapeKind.HYPERBOLIC_COSINE, 1e-300, 1e300, 1.0),  # arccosh(r_max/r_min) overflows
+            (ShapeKind.HYPERBOLIC, 1e-300, 1e300, 1e-300),  # (2/L)**2 overflows
+            (ShapeKind.CONICAL, 1e-3, 1.0, 1e-310),  # the slope 2(r_max - r_min)/L overflows
+            (ShapeKind.PARABOLIC, 1e-3, 1e-2, 1e160),  # x**2 overflows along the tube
+        ],
+    )
+    def test_out_of_range_profiles_raise(self, kind, r_min, r_max, length):
+        profile = make_profile(kind, r_min, r_max, length)
+        with pytest.raises(GeometryRangeError):
+            sample_profile(profile, 3)
+        with pytest.raises(GeometryRangeError):
+            radius_at(profile, 0.25 * profile.half_length)
+
+    def test_nan_position_is_out_of_domain(self):
+        with pytest.raises(OutOfDomainError):
+            radius_at(canonical(ShapeKind.CONICAL), math.nan)

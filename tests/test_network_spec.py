@@ -170,7 +170,21 @@ class TestFormerTracebacks:
 
     def test_integer_beyond_the_digit_limit(self):
         text = json.dumps(tube(rmin=0)).replace('"rmin": 0', '"rmin": 1' + "0" * 5000)
-        assert spec_error(text).startswith("$: invalid JSON: ")
+        assert spec_error(text) == '$: "rmin" is outside the double range, got 1' + "0" * 5000
+
+    def test_integer_beyond_the_digit_limit_deep_in_the_tree(self):
+        text = json.dumps(mixed(tube(length="L"))).replace('"length": "L"', '"length": -2' + "9" * 4400)
+        assert spec_error(text) == ('$.elements[1].elements[2].elements[3]: "length" is outside the double range, got -2'
+                                    + "9" * 4400)
+
+    def test_integer_beyond_the_digit_limit_outside_a_number_field(self):
+        assert spec_error('{"type": 1' + "0" * 5000 + "}").startswith("$: unknown node type 10000")
+        assert spec_error('[1' + "0" * 5000 + "]") == "$: expected an object, got list"
+
+    def test_syntax_error_after_an_integer_beyond_the_digit_limit(self):
+        text = '{"type": "series", "elements": [1' + "0" * 5000 + ', {,}]}'
+        column = text.index("{,") + 2
+        assert spec_error(text) == f"line 1 column {column}: invalid JSON: Expecting property name enclosed in double quotes"
 
 
 def build(doc):

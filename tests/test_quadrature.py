@@ -26,7 +26,6 @@ from capflow import (
 )
 from capflow import quadrature
 from capflow.quadrature import _KIND_STREAM, _NODES, _WEIGHTS_G7, _WEIGHTS_K15, _worst_first
-from capflow.summation import pairwise_sum
 
 KIND_BY_TOKEN = {kind.value: kind for kind in ShapeKind}
 WATER = Fluid(viscosity=ref.VISCOSITY)
@@ -304,17 +303,6 @@ class TestVerifyAnalytic:
         profile = canonical("hyperbolic")
         report = verify_analytic(profile, 1e-9)
         assert report.analytic_pressure_drop == pressure_drop(profile, 1.0, Fluid(1.0))
-
-
-class TestPairwiseSum:
-    """The oracle's running estimate must equal numpy's float64 sum."""
-
-    def test_matches_numpy_sum(self):
-        # Every branch: short runs, unrolled blocks with remainders, splits.
-        for n in list(range(1, 300)) + [1000, 4099, 20000]:
-            rng = np.random.default_rng([31, n])
-            values = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-8, 8, n)).tolist()
-            assert pairwise_sum(values) == float(np.array(values).sum()), n
 
 
 class TestWorstFirst:
