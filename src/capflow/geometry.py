@@ -234,8 +234,8 @@ def _radii(profile: RadiusProfile, xs: np.ndarray) -> np.ndarray:
     """r at in-domain positions, for the public samplers.
 
     Each radius is a finite double in [r_min, r_max].  Raises
-    GeometryRangeError when a coefficient of r(x), or a step of evaluating
-    it, leaves the double range (the clamp would hide an inf, not a NaN).
+    GeometryRangeError when a step of evaluating r(x) overflows or gives
+    NaN: the clamp into [r_min, r_max] would silently turn an inf into r_max.
     """
     import numpy as np
 
