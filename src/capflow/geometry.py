@@ -181,9 +181,10 @@ def shape_parameters(profile: RadiusProfile) -> ShapeParameters:
             a, b = rmin, 2.0 * _acosh_of_ratio(rmax, rmin) / length
         else:
             a, b, k = 0.5 * (rmax + rmin), 0.5 * (rmax - rmin), 2.0 * math.pi / length
+        finite = math.isfinite(a) and math.isfinite(b) and math.isfinite(k)
     except OverflowError:
-        a = math.inf
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(k)):
+        finite = False
+    if not finite:
         raise _range_error(profile, "the coefficients of r(x) are")
     return ShapeParameters(a, b, k if kind is ShapeKind.SINUSOIDAL else None)
 
