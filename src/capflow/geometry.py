@@ -17,13 +17,17 @@ exactly one full wavelength.  All quantities are SI (metres).
 numpy is imported by the functions that build arrays, not by this module,
 so the closed forms and networks that only need profiles never load it.
 Every array of radii comes from one builder, ``_radius_function``, which
-holds each radius formula once.
+holds each radius formula once and returns it bare.  The public samplers
+(``radius_at``, ``radius_array``, ``sample_profile``) check the domain and
+clamp the formula's few-ulp drift into [r_min, r_max] in ``_radii``; the
+quadrature oracle calls the bare formula.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -161,7 +165,8 @@ def shape_parameters(profile: RadiusProfile) -> ShapeParameters:
     """Coefficients a, b (and k for sinusoidal) of r(x).
 
     Raises GeometryRangeError when a coefficient is no finite double, as
-    when r_max/r_min or 1/L exceeds the double range.
+    when r_max/r_min or 1/L exceeds the double range, and when the
+    hyperbolic a = r_min^2 underflows to zero or a subnormal.
     """
     rmin, rmax, length = profile.r_min, profile.r_max, profile.length
     kind = profile.kind
@@ -185,13 +190,17 @@ def shape_parameters(profile: RadiusProfile) -> ShapeParameters:
     except OverflowError:
         finite = False
     if not finite:
-        raise _range_error(profile, "the coefficients of r(x) are")
+        raise _range_error(profile, "the coefficients of r(x) are not finite doubles")
+    if kind is ShapeKind.HYPERBOLIC and a < sys.float_info.min:
+        # r_min below ~1.5e-154: a zero or subnormal r_min^2 would put r(x)
+        # off by up to a factor sqrt(2), still inside [r_min, r_max].
+        raise _range_error(profile, "the coefficient r_min**2 of r(x) is no normal double")
     return ShapeParameters(a, b, k if kind is ShapeKind.SINUSOIDAL else None)
 
 
-def _range_error(profile: RadiusProfile, what: str) -> GeometryRangeError:
+def _range_error(profile: RadiusProfile, problem: str) -> GeometryRangeError:
     return GeometryRangeError(
-        f"{what} not finite doubles for {profile.kind.value} tube "
+        f"{problem} for {profile.kind.value} tube "
         f"r_min={profile.r_min!r}, r_max={profile.r_max!r}, length={profile.length!r}"
     )
 
@@ -200,69 +209,72 @@ def _radius_function(profile: RadiusProfile) -> Callable[[np.ndarray], np.ndarra
     """r(x) of one profile as a vectorized function of in-domain positions.
 
     The shape coefficients are bound here, once, so repeated calls (one per
-    quadrature generation) pay for no shape dispatch.  The function checks
-    no domain and clamps into [r_min, r_max]: the formulas can drift a few
-    ulp past the radii at the waist and the ends, and the geometric bounds
-    are part of the contract.
+    quadrature generation) pay for no shape dispatch.  The function is the
+    bare formula: it checks no domain and does not clamp, so it can drift a
+    few ulp past r_min at the waist and r_max at the ends.  Each formula is
+    even in x by construction (|x|, x^2, cosh, cos), which the oracle's
+    fold onto [0, L/2] relies on.
     """
     import numpy as np
 
     p = shape_parameters(profile)
     a, b, k = p.a, p.b, p.wavenumber
-    r_min, r_max = profile.r_min, profile.r_max
     kind = profile.kind
     if kind is ShapeKind.STRAIGHT:
-        formula = lambda x: np.full_like(x, r_min)
-    elif kind is ShapeKind.CONICAL:
-        formula = lambda x: a + b * np.abs(x)
-    elif kind is ShapeKind.PARABOLIC:
-        formula = lambda x: a + b * np.square(x)
-    elif kind is ShapeKind.HYPERBOLIC:
-        formula = lambda x: np.sqrt(a + b * np.square(x))
-    elif kind is ShapeKind.HYPERBOLIC_COSINE:
-        formula = lambda x: a * np.cosh(b * x)
-    else:
-        formula = lambda x: a - b * np.cos(k * x)
-
-    def radius(x: np.ndarray) -> np.ndarray:
-        # np.clip's semantics without its Python-level wrapper.
-        return np.minimum(np.maximum(formula(x), r_min), r_max)
-
-    return radius
+        return lambda x: np.full_like(x, a)
+    if kind is ShapeKind.CONICAL:
+        return lambda x: a + b * np.abs(x)
+    if kind is ShapeKind.PARABOLIC:
+        return lambda x: a + b * np.square(x)
+    if kind is ShapeKind.HYPERBOLIC:
+        return lambda x: np.sqrt(a + b * np.square(x))
+    if kind is ShapeKind.HYPERBOLIC_COSINE:
+        return lambda x: a * np.cosh(b * x)
+    return lambda x: a - b * np.cos(k * x)
 
 
 def _radii(profile: RadiusProfile, xs: np.ndarray) -> np.ndarray:
     """r at in-domain positions, for the public samplers.
 
-    Each radius is a finite double in [r_min, r_max].  Raises
-    GeometryRangeError when a step of evaluating r(x) overflows or gives
-    NaN: the clamp into [r_min, r_max] would silently turn an inf into r_max.
+    Each radius is a finite double in [r_min, r_max]: the formula's drift
+    past the radii is clamped off here, because the geometric bounds are
+    part of the samplers' contract.  Raises GeometryRangeError when a step
+    of evaluating r(x) overflows or gives NaN, since the clamp would
+    silently turn an inf into r_max.
     """
     import numpy as np
 
     radius = _radius_function(profile)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return radius(xs)
+            # np.clip's semantics without its Python-level wrapper.
+            return np.minimum(np.maximum(radius(xs), profile.r_min), profile.r_max)
     except FloatingPointError:
-        raise _range_error(profile, "the values of r(x) are") from None
+        raise _range_error(profile, "the values of r(x) are not finite doubles") from None
 
 
 def radius_at(profile: RadiusProfile, x: float) -> float:
     """r(x) at a single axial position x in [-L/2, L/2] (metres).
 
     Positions within 1e-12*L beyond the boundary are treated as boundary
-    values; anything farther out, or NaN, raises OutOfDomainError.  Raises
-    GeometryRangeError when r(x) cannot be evaluated in double precision.
+    values; anything farther out, NaN, or a number beyond the double range
+    raises OutOfDomainError.  Raises GeometryRangeError when r(x) cannot be
+    evaluated in double precision.
     """
-    return float(radius_array(profile, float(x)))
+    return float(radius_array(profile, x))
 
 
 def radius_array(profile: RadiusProfile, x) -> np.ndarray:
     """Vectorized :func:`radius_at` over an array of positions."""
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except OverflowError:
+        raise OutOfDomainError(
+            f"a position lies outside [-L/2, L/2] = [{-profile.half_length!r}, "
+            f"{profile.half_length!r}]: it exceeds the double range"
+        ) from None
     bad = ~(np.abs(x) <= profile.half_length * (1.0 + DOMAIN_TOLERANCE))
     if bad.any():
         raise OutOfDomainError(

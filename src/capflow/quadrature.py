@@ -6,8 +6,16 @@ nested Gauss-Kronrod 7/15 pair: the 15-point Kronrod value is kept, and the
 difference from the embedded 7-point Gauss value is the panel error
 estimate.  Panels whose estimate exceeds their share of the global budget
 are bisected, breadth-first, until the total estimate fits the budget or
-refinement can no longer help (depth limit, rounding floor, or panel cap),
-in which case the best value is returned flagged ``converged=False``.
+refinement can no longer help (depth limit, rounding floor, panel cap,
+generation limit, or an integrand value that is inf or NaN), in which
+case the best value is returned flagged ``converged=False`` with that
+``stop_reason``.
+
+``integrate_inverse_r4`` integrates 2/r(x)^4 over the half tube [0, L/2],
+which is I because every r(x) is even about the waist.  It calls the bare
+radius formula: the nodes lie inside the tube, so it needs neither the
+domain check nor the [r_min, r_max] clamp, which belong to the public
+samplers in ``geometry``.
 
 The integrand is evaluated on whole generations of panels at once (numpy);
 the panel bookkeeping between generations (bounds, depths, values, gaps)
@@ -132,14 +140,23 @@ class QuadratureResult:
 
     ``value`` carries the integral, ``error_estimate`` an upper-leaning
     estimate of its absolute error, ``evaluations`` the number of integrand
-    evaluations spent, and ``converged`` whether the estimate met the
-    configured budget.
+    evaluations spent, and ``stop_reason`` why the refinement stopped:
+    ``"converged"`` when the estimate met the configured budget, else
+    ``"max_depth"`` (a panel over its share of the budget is at the depth
+    limit), ``"rounding_floor"`` (every such panel is at rounding level),
+    ``"panel_cap"``, ``"generation_limit"`` or ``"non_finite"`` (the
+    integrand gave inf or NaN).
     """
 
     value: float
     error_estimate: float
     evaluations: int
-    converged: bool
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        """Whether the error estimate met the configured budget."""
+        return self.stop_reason == "converged"
 
 
 @dataclass(frozen=True)
@@ -215,14 +232,22 @@ def adaptive_integrate(
     panels_evaluated = 1
     total_width = upper - lower
     max_depth = config.max_depth
-    converged = False
+    stop_reason = "generation_limit"
 
     # Each generation deepens every still-active lineage by one, so
-    # max_depth + 1 passes are enough; the extra headroom is defensive.
+    # max_depth + 1 passes are usually enough.  A panel can also become
+    # worth splitting only after the estimate, and with it the budget, has
+    # shrunk; the extra headroom covers that.
     for _generation in range(2 * max_depth + 8):
-        budget = max(config.abs_tol, config.rel_tol * abs(math.fsum(kron)))
+        estimate = math.fsum(kron)
+        if not math.isfinite(estimate):
+            # The integrand gave inf or NaN; no refinement recovers from
+            # that, and an infinite budget would pass any error estimate.
+            stop_reason = "non_finite"
+            break
+        budget = max(config.abs_tol, config.rel_tol * abs(estimate))
         if math.fsum(gap) <= budget:
-            converged = True
+            stop_reason = "converged"
             break
 
         split = [
@@ -233,9 +258,15 @@ def adaptive_integrate(
             and d < max_depth
         ]
         if not split:
+            at_depth = any(
+                d >= max_depth and g > budget * (b - a) / total_width
+                for a, b, d, g in zip(lo, hi, depth, gap)
+            )
+            stop_reason = "max_depth" if at_depth else "rounding_floor"
             break
         room = _MAX_PANELS - len(lo)
         if room <= 0:
+            stop_reason = "panel_cap"
             break
         if len(split) > room:
             split = _worst_first(gap, split, room)
@@ -272,23 +303,22 @@ def adaptive_integrate(
         value=math.fsum(kron),
         error_estimate=math.fsum(gap),
         evaluations=panels_evaluated * _POINTS_PER_PANEL,
-        converged=converged,
+        stop_reason=stop_reason,
     )
 
 
 def integrate_inverse_r4(
     profile: RadiusProfile, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> QuadratureResult:
-    """Numerically evaluate I = int dx / r(x)^4 over [-L/2, L/2]."""
+    """Numerically evaluate I = int dx / r(x)^4 over [-L/2, L/2].
+
+    Every r(x) is even about the waist, so I = int_0^{L/2} 2 / r(x)^4 dx:
+    half the evaluations, and the waist, where the conical r(x) has its
+    kink, is a panel edge.  The integrand integrates to I itself, so the
+    tolerances and the result mean what they would over the whole tube.
+    """
     radius = _radius_function(profile)
-    half_length = profile.half_length
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        # Nodes lie inside the tube by construction; the clamp only absorbs
-        # the rounding of the deepest panels' node positions.
-        return 1.0 / radius(np.minimum(np.maximum(x, -half_length), half_length)) ** 4
-
-    return adaptive_integrate(integrand, -half_length, half_length, config)
+    return adaptive_integrate(lambda x: 2.0 / radius(x) ** 4, 0.0, profile.half_length, config)
 
 
 def numeric_pressure_drop(
@@ -305,7 +335,8 @@ def numeric_pressure_drop(
     result = integrate_inverse_r4(profile, config)
     if not result.converged:
         raise NotConvergedError(
-            f"integral did not converge: error estimate {result.error_estimate:.3e} "
+            f"integral did not converge ({result.stop_reason}): error estimate "
+            f"{result.error_estimate:.3e} "
             f"exceeds budget (rel_tol={config.rel_tol:g}, abs_tol={config.abs_tol:g}, "
             f"max_depth={config.max_depth})",
             result=result,

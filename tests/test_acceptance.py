@@ -67,6 +67,18 @@ def test_criterion_1_oracle_equivalence(oracle_sweep):
     )
 
 
+def test_conical_waist_is_resolved(oracle_sweep):
+    # The oracle integrates over [0, L/2], so the conical kink at the waist
+    # is a panel edge and the conical discrepancy stays at rounding level.
+    reports, _ = oracle_sweep
+    worst = max(r.relative_discrepancy for r in reports if r.profile.kind is ShapeKind.CONICAL)
+    _report(
+        "conical waist",
+        worst <= 1e-14,
+        f"{SWEEP_TRIALS} conical trials, worst relative discrepancy {worst:.3e} (limit 1e-14)",
+    )
+
+
 def test_criterion_2_degenerate_reduction():
     worst = 0.0
     for index, kind in enumerate(CORRUGATED):

@@ -284,3 +284,27 @@ class TestSamplerRange:
     def test_nan_position_is_out_of_domain(self):
         with pytest.raises(OutOfDomainError):
             radius_at(canonical(ShapeKind.CONICAL), math.nan)
+
+    @pytest.mark.parametrize("x", [10**400, -(10**400), [0.0, 10**400]], ids=["int", "negative-int", "in-array"])
+    def test_integer_beyond_double_range_is_out_of_domain(self, x):
+        profile = canonical(ShapeKind.CONICAL)
+        with pytest.raises(OutOfDomainError):
+            radius_at(profile, x) if isinstance(x, int) else radius_array(profile, x)
+
+    def test_hyperbolic_rmin_squared_underflow_raises(self):
+        # r_min^2 = 1e-400 underflows to 0: r(5e-101) came out as r_min =
+        # 1e-200, where sqrt(r_min^2 + (r_max^2 - r_min^2)(2x/L)^2) = 1.414e-200.
+        profile = make_profile(ShapeKind.HYPERBOLIC, 1e-200, 1e-100, 1.0)
+        with pytest.raises(GeometryRangeError, match="r_min\\*\\*2"):
+            radius_at(profile, 5e-101)
+        with pytest.raises(GeometryRangeError):
+            sample_profile(profile, 3)
+        with pytest.raises(GeometryRangeError):
+            shape_parameters(profile)
+
+    @pytest.mark.parametrize("r_min", [1.5e-154, 1e-150, 1e-3])
+    def test_hyperbolic_normal_rmin_squared_is_kept(self, r_min):
+        profile = make_profile(ShapeKind.HYPERBOLIC, r_min, 2.0 * r_min, 1.0)
+        assert shape_parameters(profile).a == r_min * r_min
+        r = radius_at(profile, 0.25)
+        assert r == pytest.approx(r_min * math.sqrt(1.0 + 3.0 * 0.25), rel=1e-15)

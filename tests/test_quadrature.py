@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -228,15 +229,121 @@ class TestIntegrateInverseR4:
         assert a == b
 
     def test_same_as_integrating_radius_array(self):
-        # The oracle's own integrand (radius bound once, nodes clamped) must
-        # give exactly what the domain-checked public radius_array gives.
+        # The oracle integrates 2/r^4 over [0, L/2] with the formula the
+        # public samplers use (bound once, unclamped).  No node of these
+        # profiles meets the samplers' clamp, so integrating the
+        # domain-checked radius_array the same way gives exactly the same.
         cfg = QuadratureConfig(rel_tol=1e-13)
         for profile in [canonical(t) for t in sorted(ref.INTEGRAL)] + [wide(t) for t in sorted(ref.WIDE_INTEGRAL)]:
             def integrand(x):
-                return 1.0 / radius_array(profile, x) ** 4
+                return 2.0 / radius_array(profile, x) ** 4
 
-            direct = adaptive_integrate(integrand, -profile.half_length, profile.half_length, cfg)
+            direct = adaptive_integrate(integrand, 0.0, profile.half_length, cfg)
             assert integrate_inverse_r4(profile, cfg) == direct
+
+
+def fold_profiles(kind):
+    """Random draws from the verified envelope, a near-degenerate and a ratio-100 tube."""
+    rng = np.random.default_rng([31, _KIND_STREAM[kind]])
+    profiles = [random_profile(kind, rng) for _ in range(25)]
+    if kind is not ShapeKind.STRAIGHT:
+        profiles += [make_profile(kind, 1e-3, 1e-3 * (1.0 + 1e-9), 0.1), make_profile(kind, 2e-5, 2e-3, 0.4)]
+    return profiles
+
+
+class TestFold:
+    """The oracle's half-tube integral against a plain full-tube one."""
+
+    @staticmethod
+    def full_tube(profile):
+        return adaptive_integrate(
+            lambda x: 1.0 / radius_array(profile, x) ** 4, -profile.half_length, profile.half_length
+        )
+
+    @pytest.mark.parametrize("kind", list(ShapeKind), ids=lambda kind: kind.value)
+    def test_agrees_with_the_full_tube_for_less_work(self, kind):
+        for profile in fold_profiles(kind):
+            folded = integrate_inverse_r4(profile)
+            full = self.full_tube(profile)
+            assert folded.converged and full.converged
+            # Both estimates can be 0 on one panel; 4 eps I covers the rounding.
+            allowance = folded.error_estimate + full.error_estimate + 4.0 * EPS * full.value
+            assert abs(folded.value - full.value) <= allowance, profile
+            assert folded.evaluations <= full.evaluations, profile
+
+
+def staggered_integrand(max_depth, decay=64.0, excess=30.0, rel_tol=1e-3):
+    """An integrand that keeps refining one panel per generation until the
+    generation limit, 2 * max_depth + 8, runs out.
+
+    Numbering panels breadth-first (the children of panel j are 2j+1 and
+    2j+2), it hands panel j < 2 * max_depth + 8 the integral decay**-j and a
+    Kronrod-Gauss gap ``excess`` times its width's share of a budget at
+    that scale, and every later panel nothing.  Panel j is then the only
+    panel worth splitting at generation j.  It relies on the evaluation
+    order of adaptive_integrate: one call per generation, left children
+    before right ones.
+    """
+    generations = itertools.count()
+
+    def fn(x):
+        generation = next(generations)
+        ids = [0] if generation == 0 else [2 * generation - 1, 2 * generation]
+        half = 0.5 * (x[:, -1] - x[:, 0]) / _NODES[-1]
+        f = np.zeros_like(x)
+        for row, j in enumerate(ids):
+            if j < 2 * max_depth + 8:
+                mass = decay**-j
+                gap = excess * 2.0 * half[row] * rel_tol * mass
+                f[row] = (mass - gap) / (2.0 * half[row])
+                f[row, 0] += gap / (half[row] * _WEIGHTS_K15[0])  # not a Gauss node
+        return f
+
+    return fn
+
+
+class TestStopReason:
+    def test_converged(self):
+        result = integrate_inverse_r4(canonical("conical"))
+        assert result.stop_reason == "converged"
+        assert result.converged
+
+    def test_max_depth(self):
+        result = integrate_inverse_r4(wide("conical"), QuadratureConfig(rel_tol=1e-15, max_depth=1))
+        assert result.stop_reason == "max_depth"
+
+    def test_rounding_floor(self):
+        # One panel already meets exp at rounding level; 1e-17 asks for more.
+        result = adaptive_integrate(np.exp, 0.0, 1.0, QuadratureConfig(rel_tol=1e-17))
+        assert result.stop_reason == "rounding_floor"
+        assert result.evaluations == 15
+
+    def test_panel_cap(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+        result = adaptive_integrate(lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0, QuadratureConfig(rel_tol=1e-12))
+        assert result.stop_reason == "panel_cap"
+
+    def test_generation_limit(self):
+        config = QuadratureConfig(rel_tol=1e-3, max_depth=5)
+        result = adaptive_integrate(staggered_integrand(5), 0.0, 1.0, config)
+        assert result.stop_reason == "generation_limit"
+        # One split in each of the 2 * 5 + 8 generations.
+        assert result.evaluations == 15 * (1 + 2 * 18)
+
+    def test_non_finite(self):
+        # An infinite estimate would otherwise meet its own infinite budget.
+        result = adaptive_integrate(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
+        assert result.stop_reason == "non_finite"
+        assert not result.converged
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_non_finite_sinusoidal_waist(self):
+        # At r_max/r_min = 1e17, a - b cos(kx) cancels to 0 near the waist,
+        # and numpy warns as 2/r^4 divides by it.
+        profile = make_profile(ShapeKind.SINUSOIDAL, 1e-3, 1e14, 1.0)
+        assert integrate_inverse_r4(profile).stop_reason == "non_finite"
+        with pytest.raises(NotConvergedError, match=r"\(non_finite\)"):
+            numeric_pressure_drop(profile, ref.FLOW, WATER)
 
 
 class TestNonConvergence:
@@ -254,6 +361,7 @@ class TestNonConvergence:
         partial = excinfo.value.result
         assert isinstance(partial, QuadratureResult)
         assert not partial.converged
+        assert str(excinfo.value).startswith("integral did not converge (max_depth): ")
 
     def test_verify_analytic_reports_failure(self):
         report = verify_analytic(wide("conical"), 1e-9, self.CRAMPED)
