@@ -39,12 +39,10 @@ from .geometry import (
     ProfileTable,
     RadiusProfile,
     ShapeKind,
-    ShapeParameters,
     make_profile,
     radius_array,
     radius_at,
     sample_profile,
-    shape_parameters,
 )
 from .network import (
     NetworkElement,
@@ -78,10 +76,8 @@ __all__ = [
     "ShapeKind",
     "CORRUGATED",
     "RadiusProfile",
-    "ShapeParameters",
     "ProfileTable",
     "make_profile",
-    "shape_parameters",
     "radius_at",
     "radius_array",
     "sample_profile",

@@ -6,38 +6,29 @@ axial radius profile r(x), the pressure drop is
     P = (8 Q mu / pi) * I,      I = integral dx / r(x)^4   over [-L/2, L/2]
 
 with mu the viscosity (Pa*s).  A straight tube gives I = L/R^4 and the
-familiar P = 8 Q mu L / (pi R^4).  Each corrugation profile admits a closed
-form for I (all reduce to L/R^4 at r_min = r_max):
-
-    straight     I = L / R^4
-    conical      I = (L/3) (r_max^2 + r_max r_min + r_min^2) / (r_min^3 r_max^3)
-    parabolic    I = (L/2) [ 1/(3 r_min r_max^3) + 5/(12 r_min^2 r_max^2)
-                             + 5/(8 r_min^3 r_max) + 5 g(u)/(8 r_min^4) ],
-                 u = (r_max - r_min)/r_min,  g(u) = arctan(sqrt(u))/sqrt(u)
-    hyperbolic   I = (L/2) [ 1/(r_min^2 r_max^2) + g(v)/r_min^4 ],
-                 v = (r_max^2 - r_min^2)/r_min^2
-    cosh         I = (L/3) h(w) / r_min^4,   w = arccosh(r_max/r_min),
-                 h(w) = tanh(w) (sech^2(w) + 2) / w
-    sinusoidal   I = L [ 2 (r_max+r_min)^3 + 3 (r_max+r_min)(r_max-r_min)^2 ]
-                     / (16 (r_max r_min)^(7/2))
-
-The conical form above is the cancellation-free rewrite of the difference
-of inverse cubes; g and h switch to Maclaurin series near the degenerate
-limit (see the helpers).  The resistance factors as P/Q = mu * G with the
-fluid-independent geometric factor G = (8/pi) I (units 1/m^3).
+familiar P = 8 Q mu L / (pi R^4).  Every profile has a closed form
+I = L F(d) / r_min^4, with d = (r_max - r_min)/r_min and the dimensionless
+F(d) in (0, 1] of the profile's entry in ``geometry._SHAPES`` (see the
+``geometry`` docstring for the table; F = 1 at d = 0, so each reduces to
+L/R^4).  The scaling L/r_min^4 is applied once, through frexp/ldexp, so
+only I itself is rounded into the double range; the quadrature oracle
+scales its integral of F the same way.  The resistance factors as
+P/Q = mu * G with the fluid-independent geometric factor G = (8/pi) I
+(units 1/m^3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import frexp, ldexp
 
 from .errors import (
     FlowRangeError,
     GeometryRangeError,
     NonPositiveViscosityError,
 )
-from .geometry import RadiusProfile, ShapeKind, _acosh_of_ratio, make_profile
+from .geometry import RadiusProfile, ShapeKind, _dimensionless, make_profile
 
 __all__ = [
     "Fluid",
@@ -49,11 +40,6 @@ __all__ = [
     "equivalent_radius",
     "inverse_r4_integral",
 ]
-
-# Below this value of u (or v, or w^2) the arctan/tanh brackets switch to
-# series; truncation error at the switch point is ~1e-25 relative.
-_SERIES_SWITCH = 1e-6
-
 
 @dataclass(frozen=True)
 class Fluid:
@@ -99,87 +85,39 @@ class HydraulicResistance:
         return value
 
 
-def _arctan_bracket(u: float) -> float:
-    """arctan(sqrt(u))/sqrt(u) for u >= 0.
+def _integral(profile: RadiusProfile, f: float, source: str = "") -> float:
+    """I = L f / r_min^4 from the dimensionless f = F(d), or from its error.
 
-    Series 1 - u/3 + u^2/5 - u^3/7 below the switch point, avoiding the
-    0/0 form while keeping ~1e-16 relative accuracy there.
+    Through frexp/ldexp: r_min^4 is never formed, so only the result is
+    rounded into the double range (and f's last bits only when f itself
+    is subnormal).  Given a ``source`` of f, raises GeometryRangeError
+    naming it unless I is a positive finite double; without one, gives
+    inf where I overflows.
     """
-    if u < _SERIES_SWITCH:
-        return 1.0 - u / 3.0 + u * u / 5.0 - u * u * u / 7.0
-    s = math.sqrt(u)
-    return math.atan(s) / s
-
-
-def _cosh_bracket(w: float) -> float:
-    """tanh(w) * (sech(w)^2 + 2) / w for w >= 0; -> 3 as w -> 0.
-
-    Maclaurin series 3 - 2 w^2 + (7/5) w^4 below the switch point.
-    """
-    if w < _SERIES_SWITCH:
-        w2 = w * w
-        return 3.0 - 2.0 * w2 + 1.4 * w2 * w2
-    sech2 = 1.0 / math.cosh(w) ** 2
-    return math.tanh(w) * (sech2 + 2.0) / w
+    length, length_exp = frexp(profile.length)
+    radius, radius_exp = frexp(profile.r_min)
+    try:
+        value = ldexp(length * f / radius ** 4, length_exp - 4 * radius_exp)
+    except OverflowError:
+        value = math.inf
+    # One comparison: false for 0, inf and nan alike.
+    if source and not 0.0 < value < math.inf:
+        raise GeometryRangeError(
+            f"{source} I = integral dx/r^4 is not a positive finite double "
+            f"for {profile.kind.value} tube r_min={profile.r_min!r}, "
+            f"r_max={profile.r_max!r}, length={profile.length!r}"
+        )
+    return value
 
 
 def inverse_r4_integral(profile: RadiusProfile) -> float:
     """Closed-form I = integral of dx/r(x)^4 over [-L/2, L/2], in 1/m^3.
 
-    Raises GeometryRangeError when the closed form does not give a
-    positive finite double: float division by an underflowed zero and a
-    power that overflows raise, while other steps quietly give 0 or inf.
+    Raises GeometryRangeError when I, or r_max/r_min, is no positive
+    finite double; a subnormal I is returned.
     """
-    rmin, rmax, length = profile.r_min, profile.r_max, profile.length
-    kind = profile.kind
-
-    try:
-        if kind is ShapeKind.STRAIGHT:
-            value = length / rmin ** 4
-
-        elif kind is ShapeKind.CONICAL:
-            num = rmax * rmax + rmax * rmin + rmin * rmin
-            value = (length / 3.0) * num / (rmin ** 3 * rmax ** 3)
-
-        elif kind is ShapeKind.PARABOLIC:
-            u = (rmax - rmin) / rmin
-            bracket = (
-                1.0 / (3.0 * rmin * rmax ** 3)
-                + 5.0 / (12.0 * rmin ** 2 * rmax ** 2)
-                + 5.0 / (8.0 * rmin ** 3 * rmax)
-                + 5.0 * _arctan_bracket(u) / (8.0 * rmin ** 4)
-            )
-            value = 0.5 * length * bracket
-
-        elif kind is ShapeKind.HYPERBOLIC:
-            # exact gap product, see geometry.shape_parameters
-            v = (rmax - rmin) * (rmax + rmin) / (rmin * rmin)
-            bracket = 1.0 / (rmin * rmin * rmax * rmax) + _arctan_bracket(v) / rmin ** 4
-            value = 0.5 * length * bracket
-
-        elif kind is ShapeKind.HYPERBOLIC_COSINE:
-            w = _acosh_of_ratio(rmax, rmin)
-            value = (length / 3.0) * _cosh_bracket(w) / rmin ** 4
-
-        elif kind is ShapeKind.SINUSOIDAL:
-            rsum = rmax + rmin
-            rdiff = rmax - rmin
-            num = 2.0 * rsum ** 3 + 3.0 * rsum * rdiff * rdiff
-            rprod = rmax * rmin
-            value = length * num / (16.0 * rprod ** 3 * math.sqrt(rprod))
-
-        else:
-            raise AssertionError(f"unhandled shape kind {kind!r}")
-    except (ZeroDivisionError, OverflowError):
-        value = math.nan
-
-    # One comparison: false for 0, inf and nan alike.
-    if not 0.0 < value < math.inf:
-        raise GeometryRangeError(
-            f"closed-form I = integral dx/r^4 is not a positive finite double "
-            f"for {kind.value} tube r_min={rmin!r}, r_max={rmax!r}, length={length!r}"
-        )
-    return value
+    shape, d = _dimensionless(profile)
+    return _integral(profile, shape.F(d), "closed-form")
 
 
 def poiseuille_pressure_drop(radius: float, length: float, flow_rate: float, fluid: Fluid) -> float:
@@ -204,7 +142,12 @@ def pressure_drop(profile: RadiusProfile, flow_rate: float, fluid: Fluid) -> flo
     when r_min == r_max.  Raises FlowRangeError when Q is NaN or P
     overflows.
     """
-    value = (8.0 * flow_rate * fluid.viscosity / math.pi) * inverse_r4_integral(profile)
+    return _pressure_drop_of(inverse_r4_integral(profile), flow_rate, fluid)
+
+
+def _pressure_drop_of(integral: float, flow_rate: float, fluid: Fluid) -> float:
+    """P = (8 Q mu / pi) * I for a given I; FlowRangeError unless finite."""
+    value = (8.0 * flow_rate * fluid.viscosity / math.pi) * integral
     if not math.isfinite(value):
         raise _flow_range_error("pressure drop", value, flow_rate=flow_rate, viscosity=fluid.viscosity)
     return value
@@ -247,9 +190,11 @@ def _resistance_of(g: float, fluid: Fluid) -> HydraulicResistance:
 def equivalent_radius(profile: RadiusProfile) -> float:
     """Radius of the straight tube with equal length and equal resistance.
 
-    R_eq = (8 L / (pi G))^(1/4) = (L / I)^(1/4), clamped into
-    [r_min, r_max] to absorb the ~1 ulp the root arithmetic can drift on
-    degenerate profiles.
+    R_eq = (L / I)^(1/4) = r_min F(d)^(-1/4), which stays in range even
+    where I does not; clamped into [r_min, r_max] to absorb the ~1 ulp the
+    root arithmetic can drift on degenerate profiles.  Raises
+    GeometryRangeError only when r_max/r_min exceeds the double range.
     """
-    r_eq = (profile.length / inverse_r4_integral(profile)) ** 0.25
+    shape, d = _dimensionless(profile)
+    r_eq = profile.r_min * shape.F(d) ** -0.25
     return min(max(r_eq, profile.r_min), profile.r_max)

@@ -15,7 +15,7 @@ round-trip exact.  Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error
 (any CapillaryFlowError, such as a closed form, network or sampled profile
-that leaves double range), 3 I/O error.
+that leaves double range, and running out of memory), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -94,13 +94,18 @@ def _require_finite(flag: str, value: float) -> None:
 
 
 class _Command(click.Command):
-    """A command that reports a library validation error as a usage error (exit 2)."""
+    """A command that reports a library validation error as a usage error, and
+    running out of memory as one error line, both with exit 2."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except CapillaryFlowError as exc:
             raise click.UsageError(f"{type(exc).__name__}: {exc}", ctx) from exc
+        except MemoryError as exc:
+            # numpy's, as for `profile --samples 1000000000000`; exit 1 means a failed verification.
+            click.echo(f"error: out of memory{f': {exc}' if str(exc) else ''}", err=True)
+            sys.exit(2)
 
 
 def _geometry_options(f):

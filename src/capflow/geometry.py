@@ -1,35 +1,40 @@
 """Converging-diverging capillary geometry.
 
-An axisymmetric tube of length L occupies the axial interval
-x in [-L/2, L/2].  Its radius r(x) is r_min at the waist (x = 0) and r_max
-at both ends, following one of five corrugation profiles:
+A tube of length L occupies x in [-L/2, L/2], with radius r_min at the
+waist (x = 0) and r_max at both ends.  Each profile is written once, in
+dimensionless form: with t = 2|x|/L in [0, 1] and d = (r_max - r_min)/r_min,
+r = r_min rho(t; d), rho in [1, 1 + d], and I = int dx/r^4 = L F(d)/r_min^4,
+F(d) = int_0^1 rho^-4 dt in (0, 1].  With u = 1/(1 + d) and
+g(v) = arctan(sqrt v)/sqrt v:
 
-    conical      r(x) = a + b|x|          a = r_min,   b = 2(r_max - r_min)/L
-    parabolic    r(x) = a + b x^2         a = r_min,   b = (2/L)^2 (r_max - r_min)
-    hyperbolic   r(x) = sqrt(a + b x^2)   a = r_min^2, b = (2/L)^2 (r_max^2 - r_min^2)
-    cosh         r(x) = a cosh(b x)       a = r_min,   b = (2/L) arccosh(r_max/r_min)
-    sinusoidal   r(x) = a - b cos(k x)    a = (r_max + r_min)/2,
-                                          b = (r_max - r_min)/2,  k = 2 pi/L
+    straight     rho = 1                            F = 1
+    conical      rho = 1 + d t                      F = u (1 + u + u^2) / 3
+    parabolic    rho = 1 + d t^2                    F = [u (5/8 + 5u/12 + u^2/3) + 5 g(d)/8] / 2
+    hyperbolic   rho = hypot(1, t sqrt(d (d + 2)))  F = [u^2 + g(d (d + 2))] / 2
+    cosh         rho = cosh(w t)                    F = tanh(w) (3 - tanh(w)^2) / (3 w)
+    sinusoidal   rho = 1 + d sin^2(pi t / 2)        F = (1 + u) [2 (1 + u)^2 + 3 (d u)^2] / (16 sqrt(1 + d))
 
-plus the straight tube r(x) = R as the baseline.  The sinusoidal tube spans
-exactly one full wavelength.  All quantities are SI (metres).
+with w = arccosh(1 + d).  The straight tube (r_min = r_max) is the
+baseline; the sinusoidal tube spans one full wavelength.  No F cancels or
+overflows for a finite d: sqrt(d) sqrt(d + 2) stands in for sqrt(d (d + 2)),
+w = ln 2 + log1p(d) once d (d + 2) overflows, and g switches to its series
+near 0.  All quantities are SI (metres).
 
-numpy is imported by the functions that build arrays, not by this module,
-so the closed forms and networks that only need profiles never load it.
-Every array of radii comes from one builder, ``_radius_function``, which
-holds each radius formula once and returns it bare.  The public samplers
-(``radius_at``, ``radius_array``, ``sample_profile``) check the domain and
-clamp the formula's few-ulp drift into [r_min, r_max] in ``_radii``; the
-quadrature oracle calls the bare formula.
+The private table ``_SHAPES`` is the only home of rho and F: the samplers
+here compute r from rho, the closed forms of ``analytic`` are F, and the
+oracle of ``quadrature`` integrates rho.  numpy is imported only by the
+functions that build arrays, so the closed forms never load it.  The
+samplers (``radius_at``, ``radius_array``, ``sample_profile``) check the
+domain and clamp rho's few-ulp drift into [r_min, r_max]; the oracle uses
+rho bare.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .errors import (
     GeometryRangeError,
@@ -49,10 +54,8 @@ __all__ = [
     "ShapeKind",
     "CORRUGATED",
     "RadiusProfile",
-    "ShapeParameters",
     "ProfileTable",
     "make_profile",
-    "shape_parameters",
     "radius_at",
     "radius_array",
     "sample_profile",
@@ -72,6 +75,10 @@ class ShapeKind(enum.Enum):
     HYPERBOLIC = "hyperbolic"
     HYPERBOLIC_COSINE = "cosh"
     SINUSOIDAL = "sinusoidal"
+
+    # Members are singletons compared by identity; Enum's own __hash__ hashes
+    # the name in Python, which every shape-table lookup would pay.
+    __hash__ = object.__hash__
 
 
 # Every shape except the straight baseline, in declaration order: the
@@ -128,19 +135,6 @@ class RadiusProfile:
         return 0.5 * self.length
 
 
-@dataclass(frozen=True)
-class ShapeParameters:
-    """Derived coefficients of r(x) for one profile.
-
-    ``a`` and ``b`` carry shape-dependent meaning and units (see the module
-    docstring); ``wavenumber`` (k, 1/m) is set for the sinusoidal shape only.
-    """
-
-    a: float
-    b: float
-    wavenumber: float | None = None
-
-
 def make_profile(kind: ShapeKind, r_min: float, r_max: float, length: float) -> RadiusProfile:
     """Validate and build a profile.
 
@@ -150,52 +144,115 @@ def make_profile(kind: ShapeKind, r_min: float, r_max: float, length: float) -> 
     return RadiusProfile(kind, float(r_min), float(r_max), float(length))
 
 
-def _acosh_of_ratio(r_max: float, r_min: float) -> float:
-    """arccosh(r_max/r_min) = ln(z + sqrt(z^2 - 1)) with z = r_max/r_min >= 1.
+# ln 2: arccosh(z) = ln(2z) to double precision once z^2 overflows.
+_LN2 = math.log(2.0)
 
-    Written as log1p(d + sqrt(d*(d + 2))) with d = (r_max - r_min)/r_min,
-    which is the same formula kept exact as z -> 1: the subtraction is
-    exact there and nothing cancels.
+# Below this argument g(v) = arctan(sqrt v)/sqrt v switches to its series,
+# whose truncation error there is ~1e-25 relative.
+_SERIES_SWITCH = 1e-6
+
+
+def _arctan_ratio(v: float, root: float) -> float:
+    """g(v) = arctan(sqrt v)/sqrt v for v >= 0, given root = sqrt(v).
+
+    The root comes separately so that a caller can form it without
+    overflow where v itself overflows to inf.
     """
-    d = (r_max - r_min) / r_min
-    return math.log1p(d + math.sqrt(d * (d + 2.0)))
+    if v < _SERIES_SWITCH:
+        return 1.0 - v / 3.0 + v * v / 5.0 - v * v * v / 7.0
+    return math.atan(root) / root
 
 
-def shape_parameters(profile: RadiusProfile) -> ShapeParameters:
-    """Coefficients a, b (and k for sinusoidal) of r(x).
+def _cosh_rate(d: float) -> float:
+    """w = arccosh(1 + d) = log1p(d + sqrt(d (d + 2))), exact as d -> 0."""
+    square = d * (d + 2.0)
+    if square < math.inf:
+        return math.log1p(d + math.sqrt(square))
+    return _LN2 + math.log1p(d)
 
-    Raises GeometryRangeError when a coefficient is no finite double, as
-    when r_max/r_min or 1/L exceeds the double range, and when the
-    hyperbolic a = r_min^2 underflows to zero or a subnormal.
+
+def _rho_hyperbolic(t, d):
+    import numpy as np
+
+    return np.hypot(1.0, t * (math.sqrt(d) * math.sqrt(d + 2.0)))
+
+
+def _rho_cosh(t, d):
+    import numpy as np
+
+    return np.cosh(_cosh_rate(d) * t)
+
+
+def _rho_sinusoidal(t, d):
+    import numpy as np
+
+    s = np.sin((0.5 * math.pi) * t)
+    return 1.0 + d * (s * s)
+
+
+def _f_conical(d: float) -> float:
+    u = 1.0 / (1.0 + d)
+    return u * (1.0 + u * (1.0 + u)) / 3.0
+
+
+def _f_parabolic(d: float) -> float:
+    u = 1.0 / (1.0 + d)
+    return 0.5 * (u * (0.625 + u * (5.0 / 12.0 + u / 3.0)) + 0.625 * _arctan_ratio(d, math.sqrt(d)))
+
+
+def _f_hyperbolic(d: float) -> float:
+    u = 1.0 / (1.0 + d)
+    return 0.5 * (u * u + _arctan_ratio(d * (d + 2.0), math.sqrt(d) * math.sqrt(d + 2.0)))
+
+
+def _f_cosh(d: float) -> float:
+    if d == 0.0:
+        return 1.0
+    w = _cosh_rate(d)
+    tau = math.tanh(w)
+    return tau * (3.0 - tau * tau) / (3.0 * w)
+
+
+def _f_sinusoidal(d: float) -> float:
+    z = 1.0 + d
+    u = 1.0 / z
+    s = 1.0 + u
+    e = d * u
+    return s * (2.0 * s * s + 3.0 * e * e) / (16.0 * math.sqrt(z))
+
+
+class _Shape(NamedTuple):
+    """One profile in dimensionless form (see the module docstring).
+
+    ``rho(t, d)`` maps an array of t in [0, 1] to rho, unclamped: it can
+    drift a few ulp outside [1, 1 + d].  ``F(d)`` is a positive double
+    for every finite d >= 0.
     """
-    rmin, rmax, length = profile.r_min, profile.r_max, profile.length
-    kind = profile.kind
-    k = 0.0
-    try:
-        if kind is ShapeKind.STRAIGHT:
-            a, b = rmin, 0.0
-        elif kind is ShapeKind.CONICAL:
-            a, b = rmin, 2.0 * (rmax - rmin) / length
-        elif kind is ShapeKind.PARABOLIC:
-            a, b = rmin, (2.0 / length) ** 2 * (rmax - rmin)
-        elif kind is ShapeKind.HYPERBOLIC:
-            # r_max^2 - r_min^2 as a product keeps the difference exact when
-            # the radii are nearly equal.
-            a, b = rmin * rmin, (2.0 / length) ** 2 * ((rmax - rmin) * (rmax + rmin))
-        elif kind is ShapeKind.HYPERBOLIC_COSINE:
-            a, b = rmin, 2.0 * _acosh_of_ratio(rmax, rmin) / length
-        else:
-            a, b, k = 0.5 * (rmax + rmin), 0.5 * (rmax - rmin), 2.0 * math.pi / length
-        finite = math.isfinite(a) and math.isfinite(b) and math.isfinite(k)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise _range_error(profile, "the coefficients of r(x) are not finite doubles")
-    if kind is ShapeKind.HYPERBOLIC and a < sys.float_info.min:
-        # r_min below ~1.5e-154: a zero or subnormal r_min^2 would put r(x)
-        # off by up to a factor sqrt(2), still inside [r_min, r_max].
-        raise _range_error(profile, "the coefficient r_min**2 of r(x) is no normal double")
-    return ShapeParameters(a, b, k if kind is ShapeKind.SINUSOIDAL else None)
+
+    rho: Callable[[np.ndarray, float], np.ndarray]
+    F: Callable[[float], float]
+
+
+_SHAPES = {
+    ShapeKind.STRAIGHT: _Shape(lambda t, d: 0.0 * t + 1.0, lambda d: 1.0),
+    ShapeKind.CONICAL: _Shape(lambda t, d: 1.0 + d * t, _f_conical),
+    ShapeKind.PARABOLIC: _Shape(lambda t, d: 1.0 + d * (t * t), _f_parabolic),
+    ShapeKind.HYPERBOLIC: _Shape(_rho_hyperbolic, _f_hyperbolic),
+    ShapeKind.HYPERBOLIC_COSINE: _Shape(_rho_cosh, _f_cosh),
+    ShapeKind.SINUSOIDAL: _Shape(_rho_sinusoidal, _f_sinusoidal),
+}
+
+
+def _dimensionless(profile: RadiusProfile) -> tuple[_Shape, float]:
+    """The profile's table entry and its d = (r_max - r_min)/r_min.
+
+    Raises GeometryRangeError when d, and with it r_max/r_min, exceeds the
+    double range.
+    """
+    d = (profile.r_max - profile.r_min) / profile.r_min
+    if d == math.inf:
+        raise _range_error(profile, "r_max/r_min exceeds the double range")
+    return _SHAPES[profile.kind], d
 
 
 def _range_error(profile: RadiusProfile, problem: str) -> GeometryRangeError:
@@ -205,50 +262,23 @@ def _range_error(profile: RadiusProfile, problem: str) -> GeometryRangeError:
     )
 
 
-def _radius_function(profile: RadiusProfile) -> Callable[[np.ndarray], np.ndarray]:
-    """r(x) of one profile as a vectorized function of in-domain positions.
-
-    The shape coefficients are bound here, once, so repeated calls (one per
-    quadrature generation) pay for no shape dispatch.  The function is the
-    bare formula: it checks no domain and does not clamp, so it can drift a
-    few ulp past r_min at the waist and r_max at the ends.  Each formula is
-    even in x by construction (|x|, x^2, cosh, cos), which the oracle's
-    fold onto [0, L/2] relies on.
-    """
-    import numpy as np
-
-    p = shape_parameters(profile)
-    a, b, k = p.a, p.b, p.wavenumber
-    kind = profile.kind
-    if kind is ShapeKind.STRAIGHT:
-        return lambda x: np.full_like(x, a)
-    if kind is ShapeKind.CONICAL:
-        return lambda x: a + b * np.abs(x)
-    if kind is ShapeKind.PARABOLIC:
-        return lambda x: a + b * np.square(x)
-    if kind is ShapeKind.HYPERBOLIC:
-        return lambda x: np.sqrt(a + b * np.square(x))
-    if kind is ShapeKind.HYPERBOLIC_COSINE:
-        return lambda x: a * np.cosh(b * x)
-    return lambda x: a - b * np.cos(k * x)
-
-
 def _radii(profile: RadiusProfile, xs: np.ndarray) -> np.ndarray:
-    """r at in-domain positions, for the public samplers.
+    """r = r_min rho(2|x|/L; d) at in-domain positions, for the public samplers.
 
-    Each radius is a finite double in [r_min, r_max]: the formula's drift
-    past the radii is clamped off here, because the geometric bounds are
-    part of the samplers' contract.  Raises GeometryRangeError when a step
-    of evaluating r(x) overflows or gives NaN, since the clamp would
-    silently turn an inf into r_max.
+    Each radius is a finite double in [r_min, r_max]: rho's drift past its
+    bounds is clamped off here, because the geometric bounds are part of
+    the samplers' contract.  Raises GeometryRangeError when a step of
+    evaluating r overflows or gives NaN, since the clamp would silently
+    turn an inf into r_max.
     """
     import numpy as np
 
-    radius = _radius_function(profile)
+    shape, d = _dimensionless(profile)
     try:
         with np.errstate(over="raise", invalid="raise"):
+            r = profile.r_min * shape.rho(2.0 * np.abs(xs) / profile.length, d)
             # np.clip's semantics without its Python-level wrapper.
-            return np.minimum(np.maximum(radius(xs), profile.r_min), profile.r_max)
+            return np.minimum(np.maximum(r, profile.r_min), profile.r_max)
     except FloatingPointError:
         raise _range_error(profile, "the values of r(x) are not finite doubles") from None
 

@@ -11,11 +11,11 @@ generation limit, or an integrand value that is inf or NaN), in which
 case the best value is returned flagged ``converged=False`` with that
 ``stop_reason``.
 
-``integrate_inverse_r4`` integrates 2/r(x)^4 over the half tube [0, L/2],
-which is I because every r(x) is even about the waist.  It calls the bare
-radius formula: the nodes lie inside the tube, so it needs neither the
-domain check nor the [r_min, r_max] clamp, which belong to the public
-samplers in ``geometry``.
+``integrate_inverse_r4`` integrates the dimensionless F(d) of the shape
+table in ``geometry`` from rho, over t in [0, 1], the half tube, and
+scales it to I as the closed forms do.  The two thus share d, the table
+entry and the scaling, but not F; the tests' mpmath reference, computed
+from the raw radii, is what keeps the check independent.
 
 The integrand is evaluated on whole generations of panels at once (numpy);
 the panel bookkeeping between generations (bounds, depths, values, gaps)
@@ -35,12 +35,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import Fluid, pressure_drop
+from .analytic import Fluid, _integral, _pressure_drop_of, pressure_drop
 from .errors import NotConvergedError
-from .geometry import RadiusProfile, ShapeKind, _radius_function, make_profile
+from .geometry import RadiusProfile, ShapeKind, _dimensionless, make_profile
 
-# Not used here since the oracle builds r(x) once per profile, but kept as a
-# module attribute: the traced verify pass of perfbench swaps it together
+# Not used here since the oracle integrates rho, but kept as a module
+# attribute: the traced verify pass of perfbench swaps it together
 # with this module's other entry points.
 from .geometry import radius_array  # noqa: F401
 
@@ -223,15 +223,18 @@ def adaptive_integrate(
     upper = float(upper)
     if not (upper > lower):
         raise ValueError(f"need upper > lower, got [{lower!r}, {upper!r}]")
+    return _integrate(fn, [lower, upper], config.rel_tol, config.abs_tol, config.max_depth)
 
+
+def _integrate(fn, edges: list[float], rel_tol: float, abs_tol: float, max_depth: int) -> QuadratureResult:
+    """The adaptive loop over the first partition ``edges`` (ascending, at least two)."""
     # One entry per panel, in ascending axial order.
-    lo = [lower]
-    hi = [upper]
-    depth = [0]
+    lo = edges[:-1]
+    hi = edges[1:]
+    depth = [0] * len(lo)
     kron, gap = _evaluate_panels(fn, lo, hi)
-    panels_evaluated = 1
-    total_width = upper - lower
-    max_depth = config.max_depth
+    panels_evaluated = len(lo)
+    total_width = edges[-1] - edges[0]
     stop_reason = "generation_limit"
 
     # Each generation deepens every still-active lineage by one, so
@@ -245,7 +248,7 @@ def adaptive_integrate(
             # that, and an infinite budget would pass any error estimate.
             stop_reason = "non_finite"
             break
-        budget = max(config.abs_tol, config.rel_tol * abs(estimate))
+        budget = max(abs_tol, rel_tol * abs(estimate))
         if math.fsum(gap) <= budget:
             stop_reason = "converged"
             break
@@ -312,13 +315,29 @@ def integrate_inverse_r4(
 ) -> QuadratureResult:
     """Numerically evaluate I = int dx / r(x)^4 over [-L/2, L/2].
 
-    Every r(x) is even about the waist, so I = int_0^{L/2} 2 / r(x)^4 dx:
-    half the evaluations, and the waist, where the conical r(x) has its
-    kink, is a panel edge.  The integrand integrates to I itself, so the
-    tolerances and the result mean what they would over the whole tube.
+    Integrates F(d) = int_0^1 (1/rho)^4 dt, which lies in (0, 1], and
+    scales F and its error estimate to I = L F / r_min^4 as the closed
+    forms do (``abs_tol``, in 1/m^3, the other way first).  The first
+    partition has edges at t = 10^-k, k = 1 .. ceil(log10 d): QUADPACK
+    QAGP-style breakpoints towards the waist, where a wide tube peaks
+    about 1/d wide.  The conical kink at the waist is the edge t = 0.
+
+    Raises GeometryRangeError when I, or r_max/r_min, is no positive
+    finite double.
     """
-    radius = _radius_function(profile)
-    return adaptive_integrate(lambda x: 2.0 / radius(x) ** 4, 0.0, profile.half_length, config)
+    shape, d = _dimensionless(profile)
+    rho = shape.rho
+    edges = [10.0 ** -k for k in range(math.ceil(math.log10(d)), 0, -1)] if d > 1.0 else []
+    unit = _integral(profile, 1.0)
+    abs_tol = config.abs_tol / unit if unit > 0.0 else math.inf
+    result = _integrate(lambda t: (1.0 / rho(t, d)) ** 4, [0.0, *edges, 1.0],
+                        config.rel_tol, abs_tol, config.max_depth)
+    return QuadratureResult(
+        value=_integral(profile, result.value, "quadrature"),
+        error_estimate=_integral(profile, result.error_estimate),
+        evaluations=result.evaluations,
+        stop_reason=result.stop_reason,
+    )
 
 
 def numeric_pressure_drop(
@@ -330,7 +349,8 @@ def numeric_pressure_drop(
     """Pressure drop P = (8 Q mu / pi) * I with I from quadrature, in Pa.
 
     Raises NotConvergedError (with the partial result attached) when the
-    integrator cannot meet the configured tolerance.
+    integrator cannot meet the configured tolerance, and FlowRangeError
+    when Q is NaN or P overflows.
     """
     result = integrate_inverse_r4(profile, config)
     if not result.converged:
@@ -341,7 +361,7 @@ def numeric_pressure_drop(
             f"max_depth={config.max_depth})",
             result=result,
         )
-    return (8.0 * flow_rate * fluid.viscosity / math.pi) * result.value
+    return _pressure_drop_of(result.value, flow_rate, fluid)
 
 
 _REFERENCE_FLUID = Fluid(1.0)

@@ -68,14 +68,26 @@ def test_criterion_1_oracle_equivalence(oracle_sweep):
 
 
 def test_conical_waist_is_resolved(oracle_sweep):
-    # The oracle integrates over [0, L/2], so the conical kink at the waist
-    # is a panel edge and the conical discrepancy stays at rounding level.
+    # The oracle integrates over t in [0, 1], so the conical kink at the
+    # waist is a panel edge and the conical discrepancy stays at rounding level.
     reports, _ = oracle_sweep
     worst = max(r.relative_discrepancy for r in reports if r.profile.kind is ShapeKind.CONICAL)
     _report(
         "conical waist",
         worst <= 1e-14,
         f"{SWEEP_TRIALS} conical trials, worst relative discrepancy {worst:.3e} (limit 1e-14)",
+    )
+
+
+def test_sinusoidal_waist_does_not_cancel(oracle_sweep):
+    # rho = 1 + d sin^2(pi t/2) has no a - b cos(kx) to cancel at the waist,
+    # so the sinusoidal discrepancy stays at rounding level too.
+    reports, _ = oracle_sweep
+    worst = max(r.relative_discrepancy for r in reports if r.profile.kind is ShapeKind.SINUSOIDAL)
+    _report(
+        "sinusoidal waist",
+        worst <= 2e-15,
+        f"{SWEEP_TRIALS} sinusoidal trials, worst relative discrepancy {worst:.3e} (limit 2e-15)",
     )
 
 

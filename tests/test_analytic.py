@@ -15,10 +15,12 @@ from capflow import (
     NonPositiveLengthError,
     NonPositiveRadiusError,
     NonPositiveViscosityError,
+    QuadratureConfig,
     ShapeKind,
     equivalent_radius,
     flow_rate,
     hydraulic_resistance,
+    integrate_inverse_r4,
     inverse_r4_integral,
     make_profile,
     poiseuille_pressure_drop,
@@ -112,7 +114,6 @@ class TestInverseR4Integral:
 OUT_OF_RANGE = [
     pytest.param(ShapeKind.CONICAL, 1e-200, 1e-100, 1.0, id="conical-tiny"),
     pytest.param(ShapeKind.STRAIGHT, 1e-100, 1e-100, 1.0, id="straight-tiny"),
-    pytest.param(ShapeKind.HYPERBOLIC_COSINE, 1e-3, 1e300, 1.0, id="cosh-huge-ratio"),
     pytest.param(ShapeKind.CONICAL, 1e100, 1e101, 1.0, id="conical-huge"),
     pytest.param(ShapeKind.STRAIGHT, 1e100, 1e100, 1e-300, id="straight-huge"),
 ]
@@ -127,9 +128,29 @@ class TestRangeError:
             lambda: pressure_drop(profile, 1.0, WATER),
             lambda: flow_rate(profile, 1.0, WATER),
             lambda: hydraulic_resistance(profile, WATER),
-            lambda: equivalent_radius(profile),
         ):
             with pytest.raises(GeometryRangeError, match=kind.value):
+                call()
+
+    @pytest.mark.parametrize("kind,r_min,r_max,length", OUT_OF_RANGE)
+    def test_equivalent_radius_stays_in_range(self, kind, r_min, r_max, length):
+        # r_min F(d)^(-1/4) involves neither L nor r_min^4.
+        profile = make_profile(kind, r_min, r_max, length)
+        assert r_min <= equivalent_radius(profile) <= r_max
+
+    @pytest.mark.parametrize("r_max", [1e200, 1e300])
+    def test_cosh_huge_ratio_is_finite(self, r_max):
+        # arccosh(r_max/r_min) once overflowed through d (d + 2); the closed
+        # form now agrees with the oracle there.
+        profile = make_profile(ShapeKind.HYPERBOLIC_COSINE, 1e-3, r_max, 1.0)
+        oracle = integrate_inverse_r4(profile, QuadratureConfig(rel_tol=1e-13))
+        assert oracle.converged
+        assert inverse_r4_integral(profile) == pytest.approx(oracle.value, rel=1e-12)
+
+    def test_ratio_beyond_double_range_raises(self):
+        profile = make_profile(ShapeKind.CONICAL, 1e-300, 1e300, 1.0)
+        for call in (lambda: inverse_r4_integral(profile), lambda: equivalent_radius(profile)):
+            with pytest.raises(GeometryRangeError, match="r_max/r_min exceeds the double range"):
                 call()
 
     def test_is_a_typed_value_error(self):
@@ -193,7 +214,7 @@ class TestResistanceRange:
     def test_overflowing_geometric_factor(self):
         # I = L/r^4 = 1e308 is finite, G = (8/pi) I is not
         narrow = make_profile(ShapeKind.STRAIGHT, 1e-77, 1e-77, 1.0)
-        assert inverse_r4_integral(narrow) == 1e308
+        assert inverse_r4_integral(narrow) == pytest.approx(1e308, rel=1e-15)
         with pytest.raises(GeometryRangeError, match="G = inf"):
             hydraulic_resistance(narrow, WATER)
 

@@ -24,8 +24,8 @@ from capflow import (
     radius_array,
     radius_at,
     sample_profile,
-    shape_parameters,
 )
+from capflow.geometry import _cosh_rate, _dimensionless
 
 ALL_KINDS = list(ShapeKind)
 
@@ -76,43 +76,61 @@ class TestMakeProfile:
             make_profile(ShapeKind.CONICAL, 2e-3, 1e-3, 0.1)
 
 
+def canonical_f(token):
+    """F = I r_min^4 / L of the canonical tube, from the frozen reference."""
+    return ref.INTEGRAL[token] * ref.R_MIN**4 / ref.LENGTH
+
+
 class TestShapeParameters:
+    """Each shape's dimensionless parameter d, rho(t; d) and F(d) for the
+    canonical tube, where d = (2e-3 - 1e-3)/1e-3 = 1."""
+
+    T = np.array([0.0, 0.5, 1.0])
+
     def test_conical(self):
-        p = shape_parameters(canonical(ShapeKind.CONICAL))
-        assert p.a == 1e-3
-        assert p.b == pytest.approx(2.0 * 1e-3 / 0.1, rel=1e-15)
+        shape, d = _dimensionless(canonical(ShapeKind.CONICAL))
+        assert d == 1.0
+        assert shape.rho(self.T, d).tolist() == [1.0, 1.5, 2.0]
+        assert shape.F(d) == pytest.approx(7.0 / 24.0, rel=1e-15)
 
     def test_parabolic(self):
-        p = shape_parameters(canonical(ShapeKind.PARABOLIC))
-        assert p.a == 1e-3
-        assert p.b == pytest.approx((2.0 / 0.1) ** 2 * 1e-3, rel=1e-15)
+        shape, d = _dimensionless(canonical(ShapeKind.PARABOLIC))
+        assert shape.rho(self.T, d).tolist() == [1.0, 1.25, 2.0]
+        assert shape.F(d) == pytest.approx(canonical_f("parabolic"), rel=1e-15)
 
     def test_hyperbolic(self):
-        p = shape_parameters(canonical(ShapeKind.HYPERBOLIC))
-        assert p.a == pytest.approx(1e-6, rel=1e-15)
-        assert p.b == pytest.approx(400.0 * 3e-6, rel=1e-15)
+        shape, d = _dimensionless(canonical(ShapeKind.HYPERBOLIC))
+        assert shape.rho(self.T, d) == pytest.approx([1.0, math.sqrt(1.75), 2.0], rel=1e-15)
+        assert shape.F(d) == pytest.approx(canonical_f("hyperbolic"), rel=1e-15)
 
     def test_cosh(self):
-        p = shape_parameters(canonical(ShapeKind.HYPERBOLIC_COSINE))
-        assert p.a == 1e-3
-        # arccosh(2) = ln(2 + sqrt(3))
-        assert p.b == pytest.approx(20.0 * math.log(2.0 + math.sqrt(3.0)), rel=1e-14)
+        shape, d = _dimensionless(canonical(ShapeKind.HYPERBOLIC_COSINE))
+        # arccosh(2) = ln(2 + sqrt(3)), and cosh(w/2) = sqrt((cosh(w) + 1)/2)
+        assert _cosh_rate(d) == pytest.approx(math.log(2.0 + math.sqrt(3.0)), rel=1e-15)
+        assert shape.rho(self.T, d) == pytest.approx([1.0, math.sqrt(1.5), 2.0], rel=1e-15)
+        assert shape.F(d) == pytest.approx(canonical_f("cosh"), rel=1e-15)
 
     def test_sinusoidal(self):
-        p = shape_parameters(canonical(ShapeKind.SINUSOIDAL))
-        assert p.a == pytest.approx(1.5e-3, rel=1e-15)
-        assert p.b == pytest.approx(0.5e-3, rel=1e-15)
-        assert p.wavenumber == pytest.approx(2.0 * math.pi / 0.1, rel=1e-15)
+        shape, d = _dimensionless(canonical(ShapeKind.SINUSOIDAL))
+        assert shape.rho(self.T, d) == pytest.approx([1.0, 1.5, 2.0], rel=1e-15)
+        assert shape.F(d) == pytest.approx(canonical_f("sinusoidal"), rel=1e-15)
 
     def test_sinusoidal_degenerate_offset(self):
-        p = shape_parameters(make_profile(ShapeKind.SINUSOIDAL, 1e-3, 1e-3, 0.1))
-        assert p.b == 0.0
+        shape, d = _dimensionless(make_profile(ShapeKind.SINUSOIDAL, 1e-3, 1e-3, 0.1))
+        assert d == 0.0
+        assert shape.rho(self.T, d).tolist() == [1.0, 1.0, 1.0]
+        assert shape.F(d) == 1.0
 
     def test_straight(self):
-        p = shape_parameters(make_profile(ShapeKind.STRAIGHT, 1e-3, 1e-3, 0.1))
-        assert p.a == 1e-3
-        assert p.b == 0.0
-        assert p.wavenumber is None
+        shape, d = _dimensionless(make_profile(ShapeKind.STRAIGHT, 1e-3, 1e-3, 0.1))
+        assert d == 0.0
+        assert shape.rho(self.T, d).tolist() == [1.0, 1.0, 1.0]
+        assert shape.F(d) == 1.0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_every_f_is_one_at_d_zero(self, kind):
+        shape, d = _dimensionless(make_profile(kind, 1e-3, 1e-3, 0.1))
+        assert shape.F(d) == 1.0
 
 
 class TestRadiusAt:
@@ -268,10 +286,8 @@ class TestSamplerRange:
     @pytest.mark.parametrize(
         "kind, r_min, r_max, length",
         [
-            (ShapeKind.HYPERBOLIC_COSINE, 1e-300, 1e300, 1.0),  # arccosh(r_max/r_min) overflows
-            (ShapeKind.HYPERBOLIC, 1e-300, 1e300, 1e-300),  # (2/L)**2 overflows
-            (ShapeKind.CONICAL, 1e-3, 1.0, 1e-310),  # the slope 2(r_max - r_min)/L overflows
-            (ShapeKind.PARABOLIC, 1e-3, 1e-2, 1e160),  # x**2 overflows along the tube
+            (ShapeKind.HYPERBOLIC_COSINE, 1e-300, 1e300, 1.0),  # d = r_max/r_min - 1 overflows
+            (ShapeKind.HYPERBOLIC, 1e-300, 1e300, 1e-300),  # d overflows
         ],
     )
     def test_out_of_range_profiles_raise(self, kind, r_min, r_max, length):
@@ -280,6 +296,22 @@ class TestSamplerRange:
             sample_profile(profile, 3)
         with pytest.raises(GeometryRangeError):
             radius_at(profile, 0.25 * profile.half_length)
+
+    @pytest.mark.parametrize(
+        "kind, r_min, r_max, length, quarter",
+        [
+            # Once raised: the slope 2(r_max - r_min)/L overflowed.
+            (ShapeKind.CONICAL, 1e-3, 1.0, 1e-310, 1e-3 * (1.0 + 999.0 / 4.0)),
+            # Once raised: x**2 overflowed along the tube.
+            (ShapeKind.PARABOLIC, 1e-3, 1e-2, 1e160, 1e-3 * (1.0 + 9.0 / 16.0)),
+        ],
+        ids=["conical-tiny-length", "parabolic-huge-length"],
+    )
+    def test_extreme_lengths_sample(self, kind, r_min, r_max, length, quarter):
+        # r depends on x only through t = 2|x|/L, so no length is out of range.
+        profile = make_profile(kind, r_min, r_max, length)
+        assert sample_profile(profile, 3).r.tolist() == [r_max, r_min, r_max]
+        assert radius_at(profile, 0.25 * profile.half_length) == pytest.approx(quarter, rel=1e-15)
 
     def test_nan_position_is_out_of_domain(self):
         with pytest.raises(OutOfDomainError):
@@ -291,20 +323,16 @@ class TestSamplerRange:
         with pytest.raises(OutOfDomainError):
             radius_at(profile, x) if isinstance(x, int) else radius_array(profile, x)
 
-    def test_hyperbolic_rmin_squared_underflow_raises(self):
-        # r_min^2 = 1e-400 underflows to 0: r(5e-101) came out as r_min =
-        # 1e-200, where sqrt(r_min^2 + (r_max^2 - r_min^2)(2x/L)^2) = 1.414e-200.
+    def test_hyperbolic_tiny_rmin_is_exact(self):
+        # r_min^2 = 1e-400 underflows to 0, which once made r(5e-101) come out
+        # as r_min = 1e-200 where the definition gives sqrt(2) * 1e-200; with
+        # rho no square of a radius is formed.
         profile = make_profile(ShapeKind.HYPERBOLIC, 1e-200, 1e-100, 1.0)
-        with pytest.raises(GeometryRangeError, match="r_min\\*\\*2"):
-            radius_at(profile, 5e-101)
-        with pytest.raises(GeometryRangeError):
-            sample_profile(profile, 3)
-        with pytest.raises(GeometryRangeError):
-            shape_parameters(profile)
+        assert radius_at(profile, 5e-101) == pytest.approx(1e-200 * math.sqrt(2.0), rel=1e-15)
+        assert sample_profile(profile, 3).r.tolist() == [1e-100, 1e-200, 1e-100]
 
     @pytest.mark.parametrize("r_min", [1.5e-154, 1e-150, 1e-3])
     def test_hyperbolic_normal_rmin_squared_is_kept(self, r_min):
         profile = make_profile(ShapeKind.HYPERBOLIC, r_min, 2.0 * r_min, 1.0)
-        assert shape_parameters(profile).a == r_min * r_min
         r = radius_at(profile, 0.25)
         assert r == pytest.approx(r_min * math.sqrt(1.0 + 3.0 * 0.25), rel=1e-15)
