@@ -5,8 +5,9 @@ profiles, an adaptive-quadrature evaluator of the underlying integral that
 doubles as an independent check on them, and series/parallel composition
 of tubes into hydraulic networks.
 
-The quadrature exports load on first access (PEP 562), because they need
-numpy: ``import capflow`` and the closed forms run without it.
+The quadrature exports load on first access (PEP 562), so ``import
+capflow`` and the closed forms never import the quadrature module; numpy
+loads only with the samplers and the seeded sweep.
 """
 
 from .analytic import (
@@ -56,7 +57,7 @@ from .network import (
 
 __version__ = "0.1.0"
 
-# Served by __getattr__, so that numpy loads only when one is first used.
+# Served by __getattr__, so that the quadrature module loads only when one is first used.
 _QUADRATURE_EXPORTS = (
     "QuadratureConfig",
     "QuadratureResult",
@@ -118,7 +119,7 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """Serve the quadrature exports, loading numpy with them on first access."""
+    """Serve the quadrature exports, loading the quadrature module on first access."""
     if name in _QUADRATURE_EXPORTS:
         from . import quadrature
 

@@ -21,9 +21,10 @@ w = ln 2 + log1p(d) once d (d + 2) overflows, and g switches to its series
 near 0.  All quantities are SI (metres).
 
 The private table ``_SHAPES`` is the only home of rho and F: the samplers
-here compute r from rho, the closed forms of ``analytic`` are F, and the
-oracle of ``quadrature`` integrates rho.  numpy is imported only by the
-functions that build arrays, so the closed forms never load it.  The
+here compute r from rho over numpy arrays, the closed forms of
+``analytic`` are F, and the oracle of ``quadrature`` integrates rho over
+Python floats through ``math``.  numpy is imported only by the functions
+that build arrays, so the closed forms and the oracle never load it.  The
 samplers (``radius_at``, ``radius_array``, ``sample_profile``) check the
 domain and clamp rho's few-ulp drift into [r_min, r_max]; the oracle uses
 rho bare.
@@ -47,6 +48,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from types import ModuleType
+
     import numpy as np
 
 __all__ = [
@@ -171,23 +174,30 @@ def _cosh_rate(d: float) -> float:
     return _LN2 + math.log1p(d)
 
 
-def _rho_hyperbolic(t, d):
-    import numpy as np
-
-    return np.hypot(1.0, t * (math.sqrt(d) * math.sqrt(d + 2.0)))
+# rho's constructors beyond a one-line lambda: see ``_Shape.rho``.
 
 
-def _rho_cosh(t, d):
-    import numpy as np
+def _rho_hyperbolic(d, m):
+    hypot = m.hypot
+    slope = math.sqrt(d) * math.sqrt(d + 2.0)
+    return lambda t: hypot(1.0, t * slope)
 
-    return np.cosh(_cosh_rate(d) * t)
+
+def _rho_cosh(d, m):
+    cosh = m.cosh
+    w = _cosh_rate(d)
+    return lambda t: cosh(w * t)
 
 
-def _rho_sinusoidal(t, d):
-    import numpy as np
+def _rho_sinusoidal(d, m):
+    sin = m.sin
+    k = 0.5 * math.pi
 
-    s = np.sin((0.5 * math.pi) * t)
-    return 1.0 + d * (s * s)
+    def rho(t):
+        s = sin(k * t)
+        return 1.0 + d * (s * s)
+
+    return rho
 
 
 def _f_conical(d: float) -> float:
@@ -224,19 +234,22 @@ def _f_sinusoidal(d: float) -> float:
 class _Shape(NamedTuple):
     """One profile in dimensionless form (see the module docstring).
 
-    ``rho(t, d)`` maps an array of t in [0, 1] to rho, unclamped: it can
-    drift a few ulp outside [1, 1 + d].  ``F(d)`` is a positive double
-    for every finite d >= 0.
+    ``rho(d, m)`` returns the t -> rho map of the tube with that d, built
+    from the kernel module ``m``: ``math`` maps a float t in [0, 1] to a
+    float, ``numpy`` an array to an array.  rho is unclamped: it can drift
+    a few ulp outside [1, 1 + d], and for d near the double range's end
+    ``math`` can raise OverflowError where ``numpy`` gives inf.  ``F(d)``
+    is a positive double for every finite d >= 0.
     """
 
-    rho: Callable[[np.ndarray, float], np.ndarray]
+    rho: Callable[[float, ModuleType], Callable]
     F: Callable[[float], float]
 
 
 _SHAPES = {
-    ShapeKind.STRAIGHT: _Shape(lambda t, d: 0.0 * t + 1.0, lambda d: 1.0),
-    ShapeKind.CONICAL: _Shape(lambda t, d: 1.0 + d * t, _f_conical),
-    ShapeKind.PARABOLIC: _Shape(lambda t, d: 1.0 + d * (t * t), _f_parabolic),
+    ShapeKind.STRAIGHT: _Shape(lambda d, m: lambda t: 0.0 * t + 1.0, lambda d: 1.0),
+    ShapeKind.CONICAL: _Shape(lambda d, m: lambda t: 1.0 + d * t, _f_conical),
+    ShapeKind.PARABOLIC: _Shape(lambda d, m: lambda t: 1.0 + d * (t * t), _f_parabolic),
     ShapeKind.HYPERBOLIC: _Shape(_rho_hyperbolic, _f_hyperbolic),
     ShapeKind.HYPERBOLIC_COSINE: _Shape(_rho_cosh, _f_cosh),
     ShapeKind.SINUSOIDAL: _Shape(_rho_sinusoidal, _f_sinusoidal),
@@ -268,19 +281,23 @@ def _radii(profile: RadiusProfile, xs: np.ndarray) -> np.ndarray:
     Each radius is a finite double in [r_min, r_max]: rho's drift past its
     bounds is clamped off here, because the geometric bounds are part of
     the samplers' contract.  Raises GeometryRangeError when a step of
-    evaluating r overflows or gives NaN, since the clamp would silently
-    turn an inf into r_max.
+    evaluating rho overflows or gives NaN, since the clamp would silently
+    turn an inf into r_max.  The product r_min rho may overflow: it exceeds
+    r_max by rho's drift at most, so it is inf only where the clamp gives
+    r_max anyway.
     """
     import numpy as np
 
     shape, d = _dimensionless(profile)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            r = profile.r_min * shape.rho(2.0 * np.abs(xs) / profile.length, d)
-            # np.clip's semantics without its Python-level wrapper.
-            return np.minimum(np.maximum(r, profile.r_min), profile.r_max)
+            rho = shape.rho(d, np)(2.0 * np.abs(xs) / profile.length)
     except FloatingPointError:
         raise _range_error(profile, "the values of r(x) are not finite doubles") from None
+    with np.errstate(over="ignore"):
+        r = profile.r_min * rho
+    # np.clip's semantics without its Python-level wrapper.
+    return np.minimum(np.maximum(r, profile.r_min), profile.r_max)
 
 
 def radius_at(profile: RadiusProfile, x: float) -> float:

@@ -17,23 +17,21 @@ scales it to I as the closed forms do.  The two thus share d, the table
 entry and the scaling, but not F; the tests' mpmath reference, computed
 from the raw radii, is what keeps the check independent.
 
-The integrand is evaluated on whole generations of panels at once (numpy);
-the panel bookkeeping between generations (bounds, depths, values, gaps)
-is done in Python floats, which for the handful of panels a typical
-integral needs costs less than numpy's per-call overhead.  Panel
+The loop runs in plain Python floats: a panel is 15 scalar integrand
+calls, and its Kronrod and Gauss sums are formed in one fixed written
+order, so the bits depend on neither numpy nor a BLAS build.  Panel
 contributions and gaps are summed with ``math.fsum``, which rounds
 correctly whatever the order, so results are bit-for-bit reproducible.
-The package's other summation routine, ``summation.neumaier_sum``, is kept
-only because the benchmark harness imports it, and goes with ROADMAP item 1.
+numpy is imported only by ``verification_sweep``, for the pinned
+``default_rng`` draws.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .analytic import Fluid, _integral, _pressure_drop_of, pressure_drop
 from .errors import NotConvergedError
@@ -43,6 +41,9 @@ from .geometry import RadiusProfile, ShapeKind, _dimensionless, make_profile
 # attribute: the traced verify pass of perfbench swaps it together
 # with this module's other entry points.
 from .geometry import radius_array  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuadratureConfig",
@@ -60,7 +61,8 @@ __all__ = [
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1], 17 significant digits.
 # Derived by Newton iteration on the even-moment system at 60 decimal
 # digits; the K15 rule reproduces moments through degree 22 and the G7 rule
-# through degree 13 (pinned by tests).
+# through degree 13 (pinned by tests).  The nodes are 0 and +-x_i, outer
+# first; the Gauss nodes are 0, +-x_2, +-x_4 and +-x_6.
 _KRONROD_POSITIVE = (
     0.99145537112081264,
     0.94910791234275852,
@@ -79,31 +81,22 @@ _KRONROD_PAIR_WEIGHTS = (
     0.19035057806478541,
     0.20443294007529889,
 )
-_KRONROD_CENTER_WEIGHT = 0.20948214108472783
 _GAUSS_PAIR_WEIGHTS = (
     0.12948496616886969,
     0.27970539148927667,
     0.38183005050511894,
 )
-_GAUSS_CENTER_WEIGHT = 0.41795918367346939
+_X1, _X2, _X3, _X4, _X5, _X6, _X7 = _KRONROD_POSITIVE
+_K1, _K2, _K3, _K4, _K5, _K6, _K7 = _KRONROD_PAIR_WEIGHTS
+_G2, _G4, _G6 = _GAUSS_PAIR_WEIGHTS
+_K0 = 0.20948214108472783  # the Kronrod and Gauss weights of the centre node
+_G0 = 0.41795918367346939
 
-
-
-def _symmetric(outer_first: tuple[float, ...], center: float, left_sign: float = 1.0) -> np.ndarray:
-    """An ascending layout on [-1, 1]: the left half (times ``left_sign``), the center, the right half."""
-    return np.array([left_sign * v for v in outer_first] + [center] + list(reversed(outer_first)))
-
-
-# Ascending 15-node layout; the 7 Gauss nodes sit at the odd indices.
-_NODES = _symmetric(_KRONROD_POSITIVE, 0.0, left_sign=-1.0)
-_WEIGHTS_K15 = _symmetric(_KRONROD_PAIR_WEIGHTS, _KRONROD_CENTER_WEIGHT)
-_WEIGHTS_G7 = _symmetric(_GAUSS_PAIR_WEIGHTS, _GAUSS_CENTER_WEIGHT)
-
-_POINTS_PER_PANEL = len(_NODES)
+_POINTS_PER_PANEL = 15
 
 # Panels whose Kronrod/Gauss gap is at rounding level relative to their own
 # contribution cannot be improved by bisection.
-_ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
+_ROUNDING_FLOOR = 4.0 * sys.float_info.epsilon
 
 # Defensive cap; legitimate workloads stay orders of magnitude below it.
 _MAX_PANELS = 100_000
@@ -179,60 +172,73 @@ class VerificationReport:
     evaluations: int
 
 
-def _evaluate_panels(fn, lo: list[float], hi: list[float]) -> tuple[list[float], list[float]]:
-    """Kronrod value and Kronrod-Gauss gap for each [lo_i, hi_i] panel.
-
-    numpy evaluates the integrand on the (panels, 15) node grid and the two
-    weight products; everything else stays in Python floats.
-    """
-    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    half = [0.5 * (b - a) for a, b in zip(lo, hi)]
-    centres, halves = np.array([mid, half])[:, :, None]
-    f = fn(centres + halves * _NODES)
-    kronrod = [h * k for h, k in zip(half, (f @ _WEIGHTS_K15).tolist())]
-    gauss = (f[:, 1::2] @ _WEIGHTS_G7).tolist()
-    return kronrod, [abs(k - h * g) for k, h, g in zip(kronrod, half, gauss)]
+def _panel(fn, a: float, b: float) -> tuple[float, float]:
+    """Kronrod value and Kronrod-Gauss gap of ``fn`` on [a, b]: 15 calls."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    f0 = fn(c)
+    dx = h * _X1
+    f1 = fn(c - dx) + fn(c + dx)
+    dx = h * _X2
+    f2 = fn(c - dx) + fn(c + dx)
+    dx = h * _X3
+    f3 = fn(c - dx) + fn(c + dx)
+    dx = h * _X4
+    f4 = fn(c - dx) + fn(c + dx)
+    dx = h * _X5
+    f5 = fn(c - dx) + fn(c + dx)
+    dx = h * _X6
+    f6 = fn(c - dx) + fn(c + dx)
+    dx = h * _X7
+    f7 = fn(c - dx) + fn(c + dx)
+    kronrod = h * (_K1 * f1 + _K2 * f2 + _K3 * f3 + _K4 * f4 + _K5 * f5 + _K6 * f6 + _K7 * f7 + _K0 * f0)
+    return kronrod, abs(kronrod - h * (_G2 * f2 + _G4 * f4 + _G6 * f6 + _G0 * f0))
 
 
 def _worst_first(gap: list[float], split: list[int], room: int) -> list[int]:
-    """The ``room`` panels of ``split`` with the largest gaps, in panel order.
+    """The ``room`` panels of ``split`` (ascending) with the largest gaps, in panel order.
 
-    Ties resolve as numpy's default argsort orders them, reversed, so the
-    outcome is deterministic.
+    Of equal gaps the lower panel index goes first: the sort is stable.
     """
-    can_split = np.zeros(len(gap), dtype=bool)
-    can_split[split] = True
-    order = np.argsort(np.array(gap))[::-1]
-    return sorted(order[can_split[order]][:room].tolist())
+    return sorted(sorted(split, key=gap.__getitem__, reverse=True)[:room])
 
 
 def adaptive_integrate(
-    fn: Callable[[np.ndarray], np.ndarray],
+    fn: Callable[[float], float],
     lower: float,
     upper: float,
     config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuadratureResult:
-    """Integrate a vectorized function over [lower, upper].
+    """Integrate a function over [lower, upper].
 
-    ``fn`` must map an ndarray of positions to an ndarray of integrand
-    values of the same shape.  The value and error estimate are the
-    correctly rounded sums (``math.fsum``) of the panels' contributions, so
-    the result is deterministic.
+    ``fn`` must map a float position to a float integrand value.  The
+    value and error estimate are the correctly rounded sums
+    (``math.fsum``) of the panels' contributions, so the result is
+    deterministic.
     """
     lower = float(lower)
     upper = float(upper)
     if not (upper > lower):
         raise ValueError(f"need upper > lower, got [{lower!r}, {upper!r}]")
-    return _integrate(fn, [lower, upper], config.rel_tol, config.abs_tol, config.max_depth)
+    return QuadratureResult(*_integrate(fn, [lower, upper], config.rel_tol, config.abs_tol, config.max_depth))
 
 
-def _integrate(fn, edges: list[float], rel_tol: float, abs_tol: float, max_depth: int) -> QuadratureResult:
-    """The adaptive loop over the first partition ``edges`` (ascending, at least two)."""
-    # One entry per panel, in ascending axial order.
+def _integrate(fn, edges: list[float], rel_tol: float, abs_tol: float, max_depth: int):
+    """The adaptive loop over the first partition ``edges`` (ascending, at least two).
+
+    Returns (value, error_estimate, evaluations, stop_reason).
+    """
+    # One entry per panel.  A split panel's left child takes its index and
+    # its right child is appended, so indices do not follow the axis.
     lo = edges[:-1]
     hi = edges[1:]
     depth = [0] * len(lo)
-    kron, gap = _evaluate_panels(fn, lo, hi)
+    kron = []
+    gap = []
+    for a, b in zip(lo, hi):
+        k, g = _panel(fn, a, b)
+        kron.append(k)
+        gap.append(g)
     panels_evaluated = len(lo)
     total_width = edges[-1] - edges[0]
     stop_reason = "generation_limit"
@@ -274,40 +280,21 @@ def _integrate(fn, edges: list[float], rel_tol: float, abs_tol: float, max_depth
         if len(split) > room:
             split = _worst_first(gap, split, room)
 
-        # Children are evaluated all left halves first, then all right
-        # halves, each in panel order.
-        mid = [0.5 * (lo[i] + hi[i]) for i in split]
-        child_kron, child_gap = _evaluate_panels(
-            fn, [lo[i] for i in split] + mid, mid + [hi[i] for i in split]
-        )
+        for i in split:
+            a, b = lo[i], hi[i]
+            mid = 0.5 * (a + b)
+            depth[i] += 1
+            hi[i] = mid
+            kron[i], gap[i] = _panel(fn, a, mid)
+            k, g = _panel(fn, mid, b)
+            lo.append(mid)
+            hi.append(b)
+            depth.append(depth[i])
+            kron.append(k)
+            gap.append(g)
         panels_evaluated += 2 * len(split)
 
-        # Each split panel gives way to its two children, in place.
-        new_lo, new_hi, new_depth, new_kron, new_gap = [], [], [], [], []
-        n_split = len(split)
-        j = 0
-        for i, (a, b, d, k, g) in enumerate(zip(lo, hi, depth, kron, gap)):
-            if j < n_split and split[j] == i:
-                new_lo += (a, mid[j])
-                new_hi += (mid[j], b)
-                new_depth += (d + 1, d + 1)
-                new_kron += (child_kron[j], child_kron[n_split + j])
-                new_gap += (child_gap[j], child_gap[n_split + j])
-                j += 1
-            else:
-                new_lo.append(a)
-                new_hi.append(b)
-                new_depth.append(d)
-                new_kron.append(k)
-                new_gap.append(g)
-        lo, hi, depth, kron, gap = new_lo, new_hi, new_depth, new_kron, new_gap
-
-    return QuadratureResult(
-        value=math.fsum(kron),
-        error_estimate=math.fsum(gap),
-        evaluations=panels_evaluated * _POINTS_PER_PANEL,
-        stop_reason=stop_reason,
-    )
+    return math.fsum(kron), math.fsum(gap), panels_evaluated * _POINTS_PER_PANEL, stop_reason
 
 
 def integrate_inverse_r4(
@@ -326,17 +313,28 @@ def integrate_inverse_r4(
     finite double.
     """
     shape, d = _dimensionless(profile)
-    rho = shape.rho
+    rho = shape.rho(d, math)
+
+    def integrand(t):
+        try:
+            return (1.0 / rho(t)) ** 4
+        except OverflowError:
+            # math.cosh past the double range, where 1/rho is 0.
+            return 0.0
+
     edges = [10.0 ** -k for k in range(math.ceil(math.log10(d)), 0, -1)] if d > 1.0 else []
-    unit = _integral(profile, 1.0)
-    abs_tol = config.abs_tol / unit if unit > 0.0 else math.inf
-    result = _integrate(lambda t: (1.0 / rho(t, d)) ** 4, [0.0, *edges, 1.0],
-                        config.rel_tol, abs_tol, config.max_depth)
+    abs_tol = config.abs_tol
+    if abs_tol > 0.0:
+        unit = _integral(profile, 1.0)
+        abs_tol = abs_tol / unit if unit > 0.0 else math.inf
+    value, error, evaluations, stop_reason = _integrate(
+        integrand, [0.0, *edges, 1.0], config.rel_tol, abs_tol, config.max_depth
+    )
     return QuadratureResult(
-        value=_integral(profile, result.value, "quadrature"),
-        error_estimate=_integral(profile, result.error_estimate),
-        evaluations=result.evaluations,
-        stop_reason=result.stop_reason,
+        value=_integral(profile, value, "quadrature"),
+        error_estimate=_integral(profile, error),
+        evaluations=evaluations,
+        stop_reason=stop_reason,
     )
 
 
@@ -447,6 +445,8 @@ def verification_sweep(
 
     Reports are ordered by shape (as given) then trial index.
     """
+    import numpy as np
+
     reports: list[VerificationReport] = []
     for kind in kinds:
         rng = np.random.default_rng([seed, _KIND_STREAM[kind]])

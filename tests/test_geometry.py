@@ -87,44 +87,51 @@ class TestShapeParameters:
 
     T = np.array([0.0, 0.5, 1.0])
 
+    def rho(self, shape, d):
+        """rho at T from the numpy kernel, which the math kernel matches at each float t."""
+        values = shape.rho(d, np)(self.T)
+        scalar = shape.rho(d, math)
+        assert [scalar(t) for t in self.T.tolist()] == pytest.approx(values.tolist(), rel=1e-15)
+        return values
+
     def test_conical(self):
         shape, d = _dimensionless(canonical(ShapeKind.CONICAL))
         assert d == 1.0
-        assert shape.rho(self.T, d).tolist() == [1.0, 1.5, 2.0]
+        assert self.rho(shape, d).tolist() == [1.0, 1.5, 2.0]
         assert shape.F(d) == pytest.approx(7.0 / 24.0, rel=1e-15)
 
     def test_parabolic(self):
         shape, d = _dimensionless(canonical(ShapeKind.PARABOLIC))
-        assert shape.rho(self.T, d).tolist() == [1.0, 1.25, 2.0]
+        assert self.rho(shape, d).tolist() == [1.0, 1.25, 2.0]
         assert shape.F(d) == pytest.approx(canonical_f("parabolic"), rel=1e-15)
 
     def test_hyperbolic(self):
         shape, d = _dimensionless(canonical(ShapeKind.HYPERBOLIC))
-        assert shape.rho(self.T, d) == pytest.approx([1.0, math.sqrt(1.75), 2.0], rel=1e-15)
+        assert self.rho(shape, d) == pytest.approx([1.0, math.sqrt(1.75), 2.0], rel=1e-15)
         assert shape.F(d) == pytest.approx(canonical_f("hyperbolic"), rel=1e-15)
 
     def test_cosh(self):
         shape, d = _dimensionless(canonical(ShapeKind.HYPERBOLIC_COSINE))
         # arccosh(2) = ln(2 + sqrt(3)), and cosh(w/2) = sqrt((cosh(w) + 1)/2)
         assert _cosh_rate(d) == pytest.approx(math.log(2.0 + math.sqrt(3.0)), rel=1e-15)
-        assert shape.rho(self.T, d) == pytest.approx([1.0, math.sqrt(1.5), 2.0], rel=1e-15)
+        assert self.rho(shape, d) == pytest.approx([1.0, math.sqrt(1.5), 2.0], rel=1e-15)
         assert shape.F(d) == pytest.approx(canonical_f("cosh"), rel=1e-15)
 
     def test_sinusoidal(self):
         shape, d = _dimensionless(canonical(ShapeKind.SINUSOIDAL))
-        assert shape.rho(self.T, d) == pytest.approx([1.0, 1.5, 2.0], rel=1e-15)
+        assert self.rho(shape, d) == pytest.approx([1.0, 1.5, 2.0], rel=1e-15)
         assert shape.F(d) == pytest.approx(canonical_f("sinusoidal"), rel=1e-15)
 
     def test_sinusoidal_degenerate_offset(self):
         shape, d = _dimensionless(make_profile(ShapeKind.SINUSOIDAL, 1e-3, 1e-3, 0.1))
         assert d == 0.0
-        assert shape.rho(self.T, d).tolist() == [1.0, 1.0, 1.0]
+        assert self.rho(shape, d).tolist() == [1.0, 1.0, 1.0]
         assert shape.F(d) == 1.0
 
     def test_straight(self):
         shape, d = _dimensionless(make_profile(ShapeKind.STRAIGHT, 1e-3, 1e-3, 0.1))
         assert d == 0.0
-        assert shape.rho(self.T, d).tolist() == [1.0, 1.0, 1.0]
+        assert self.rho(shape, d).tolist() == [1.0, 1.0, 1.0]
         assert shape.F(d) == 1.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -296,6 +303,19 @@ class TestSamplerRange:
             sample_profile(profile, 3)
         with pytest.raises(GeometryRangeError):
             radius_at(profile, 0.25 * profile.half_length)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [ShapeKind.CONICAL, ShapeKind.PARABOLIC, ShapeKind.HYPERBOLIC, ShapeKind.SINUSOIDAL],
+        ids=lambda kind: kind.value,
+    )
+    def test_ends_at_the_largest_double(self, kind):
+        # Once raised: r_min rho(1; d) rounded past the largest double.  It
+        # exceeds r_max by rho's drift only, which the clamp takes off.
+        big = sys.float_info.max
+        profile = make_profile(kind, 3.0, big, 1.0)
+        assert sample_profile(profile, 3).r.tolist() == [big, 3.0, big]
+        assert radius_at(profile, profile.half_length) == big
 
     @pytest.mark.parametrize(
         "kind, r_min, r_max, length, quarter",

@@ -2,11 +2,12 @@
 error, and never a warning.
 
 Hypothesis draws radii and lengths from all positive doubles, and flows,
-pressures and viscosities from all doubles, NaN and the infinities
-included.  Each call below must return a finite answer or raise a
-CapillaryFlowError while warnings are errors.  The oracle must also stay
-within 20 000 integrand evaluations, and a converged oracle result must
-agree with a finite closed form within 1e-12.
+pressures, viscosities and positions from all doubles, NaN and the
+infinities included.  Each call below must return a finite answer or raise
+a CapillaryFlowError while warnings are errors.  The oracle must also stay
+within 20 000 integrand evaluations, a converged oracle result must agree
+with a finite closed form within 1e-12, and a sampled radius must lie in
+[r_min, r_max].
 """
 
 import math
@@ -20,15 +21,24 @@ from hypothesis import given, settings
 from capflow import (
     CapillaryFlowError,
     Fluid,
+    Parallel,
+    Series,
     ShapeKind,
+    Tube,
     equivalent_radius,
     flow_rate,
     hydraulic_resistance,
     integrate_inverse_r4,
     inverse_r4_integral,
     make_profile,
+    network_flow_rate,
+    network_pressure_drop,
+    network_resistance,
     numeric_pressure_drop,
     pressure_drop,
+    radius_array,
+    radius_at,
+    sample_profile,
     verify_analytic,
 )
 
@@ -92,3 +102,42 @@ def test_oracle(profile, flow):
                   report.relative_discrepancy, report.oracle_error_estimate)
         assert all(math.isfinite(field) for field in fields)
         assert report.evaluations <= MAX_EVALUATIONS
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile=tubes(), t=st.floats(-1.0, 1.0), x=st.floats(), n=st.integers(2, 5))
+def test_samplers(profile, t, x, n):
+    inside = t * profile.half_length
+    for call in (
+        lambda: [radius_at(profile, inside)],
+        lambda: [radius_at(profile, x)],
+        lambda: radius_array(profile, [x, inside, -inside, 0.0]).tolist(),
+        lambda: sample_profile(profile, n).r.tolist(),
+    ):
+        radii = outcome(call)
+        assert radii is None or all(profile.r_min <= r <= profile.r_max for r in radii)
+
+
+networks = st.recursive(
+    tubes().map(Tube),
+    lambda children: st.lists(children, min_size=1, max_size=3).flatmap(
+        lambda elements: st.sampled_from([Series(elements), Parallel(elements)])
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(network=networks, viscosity=st.floats(), given_value=st.floats())
+def test_networks(network, viscosity, given_value):
+    fluid = outcome(lambda: Fluid(viscosity))
+    if fluid is None:
+        return
+    for call in (
+        lambda: network_resistance(network, fluid).resistance,
+        lambda: network_resistance(network, fluid).geometric_factor,
+        lambda: network_pressure_drop(network, given_value, fluid),
+        lambda: network_flow_rate(network, given_value, fluid),
+    ):
+        value = outcome(call)
+        assert value is None or math.isfinite(value)

@@ -9,6 +9,7 @@ shows which field moved.
 """
 
 import hashlib
+import math
 import subprocess
 import sys
 
@@ -105,15 +106,30 @@ def sample_rows():
 # (label, integrand, lower, upper, config, panel cap or None for the default)
 GENERIC_CASES = (
     ("square", lambda x: x * x, 0.0, 1.0, QuadratureConfig(), None),
-    ("exp", np.exp, 0.0, 1.0, QuadratureConfig(), None),
+    ("exp", math.exp, 0.0, 1.0, QuadratureConfig(), None),
     ("peak", lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0, QuadratureConfig(rel_tol=1e-12), None),
-    ("cos", np.cos, 0.0, 40.0, QuadratureConfig(rel_tol=1e-12), None),
-    ("sqrt_abs", lambda x: np.sqrt(np.abs(x)), -1.0, 2.0, QuadratureConfig(), None),
-    ("step", lambda x: np.where(x < 1.0 / 3.0, 1.0, 2.0), 0.0, 1.0, QuadratureConfig(rel_tol=1e-13), None),
-    ("sin_abs_tol", lambda x: np.sin(50.0 * x), 0.0, 3.0, QuadratureConfig(rel_tol=1e-9, abs_tol=1e-3), None),
+    ("cos", math.cos, 0.0, 40.0, QuadratureConfig(rel_tol=1e-12), None),
+    ("sqrt_abs", lambda x: math.sqrt(abs(x)), -1.0, 2.0, QuadratureConfig(), None),
+    ("step", lambda x: 1.0 if x < 1.0 / 3.0 else 2.0, 0.0, 1.0, QuadratureConfig(rel_tol=1e-13), None),
+    ("sin_abs_tol", lambda x: math.sin(50.0 * x), 0.0, 3.0, QuadratureConfig(rel_tol=1e-9, abs_tol=1e-3), None),
     ("peak_capped", lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0, QuadratureConfig(rel_tol=1e-12), 16),
-    ("cos_capped", lambda x: np.cos(40.0 * x), 0.0, 10.0, QuadratureConfig(rel_tol=1e-12), 10),
+    ("cos_capped", lambda x: math.cos(40.0 * x), 0.0, 10.0, QuadratureConfig(rel_tol=1e-12), 10),
 )
+
+EPS = sys.float_info.epsilon
+
+# The exact integral of each generic case, from its antiderivative.
+GENERIC_EXACT = {
+    "square": 1.0 / 3.0,
+    "exp": math.expm1(1.0),
+    "peak": 2.0 * math.atan(1.0 / math.sqrt(1e-4)) / math.sqrt(1e-4),
+    "cos": math.sin(40.0),
+    "sqrt_abs": (1.0 + 2.0**1.5) * 2.0 / 3.0,
+    "step": 2.0 - 1.0 / 3.0,  # the step sits at the double nearest 1/3
+    "sin_abs_tol": (1.0 - math.cos(150.0)) / 50.0,
+    "peak_capped": 2.0 * math.atan(1.0 / math.sqrt(1e-4)) / math.sqrt(1e-4),
+    "cos_capped": math.sin(400.0) / 40.0,
+}
 
 
 def generic_rows(monkeypatch):
@@ -125,6 +141,22 @@ def generic_rows(monkeypatch):
             result = adaptive_integrate(fn, lower, upper, config)
         rows.append(" ".join([label, *_result_fields(result)]))
     return rows
+
+
+def test_generic_integrands_within_their_estimate(monkeypatch):
+    # What backs the generic pin: each converged result lies within its own
+    # error estimate of the exact integral.
+    converged = 0
+    for label, fn, lower, upper, config, cap in GENERIC_CASES:
+        with monkeypatch.context() as patch:
+            if cap is not None:
+                patch.setattr(quadrature, "_MAX_PANELS", cap)
+            result = adaptive_integrate(fn, lower, upper, config)
+        if result.converged:
+            exact = GENERIC_EXACT[label]
+            assert abs(result.value - exact) <= result.error_estimate + 4.0 * EPS * abs(exact), label
+            converged += 1
+    assert converged == sum(cap is None for *_, cap in GENERIC_CASES)
 
 
 def digest(rows):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import sys
 import warnings
 
 import numpy as np
@@ -22,17 +24,31 @@ from capflow import (
     numeric_pressure_drop,
     pressure_drop,
     radius_array,
+    radius_at,
     random_profile,
     verification_sweep,
     verify_analytic,
 )
-from capflow import quadrature
-from capflow.quadrature import _KIND_STREAM, _NODES, _WEIGHTS_G7, _WEIGHTS_K15, _worst_first
+from capflow import geometry, quadrature
+from capflow.quadrature import (
+    _G0,
+    _GAUSS_PAIR_WEIGHTS,
+    _K0,
+    _KIND_STREAM,
+    _KRONROD_PAIR_WEIGHTS,
+    _KRONROD_POSITIVE,
+    _worst_first,
+)
 
 KIND_BY_TOKEN = {kind.value: kind for kind in ShapeKind}
 WATER = Fluid(viscosity=ref.VISCOSITY)
 
-EPS = np.finfo(float).eps
+EPS = sys.float_info.epsilon
+
+# The rule pair in ascending node order; the Gauss nodes sit at the odd indices.
+NODES = tuple(-x for x in _KRONROD_POSITIVE) + (0.0,) + _KRONROD_POSITIVE[::-1]
+WEIGHTS_K15 = _KRONROD_PAIR_WEIGHTS + (_K0,) + _KRONROD_PAIR_WEIGHTS[::-1]
+WEIGHTS_G7 = _GAUSS_PAIR_WEIGHTS + (_G0,) + _GAUSS_PAIR_WEIGHTS[::-1]
 
 
 def canonical(token):
@@ -50,30 +66,34 @@ class TestRuleMoments:
     """Pin the embedded Gauss-Kronrod pair against the moment integrals
     int x^m dx = 2/(m+1) on [-1, 1], including where each rule must fail."""
 
+    @staticmethod
+    def kronrod(m):
+        return math.fsum(w * x**m for w, x in zip(WEIGHTS_K15, NODES))
+
+    @staticmethod
+    def gauss(m):
+        return math.fsum(w * x**m for w, x in zip(WEIGHTS_G7, NODES[1::2]))
+
     def test_weights_sum_to_interval_length(self):
-        assert float(_WEIGHTS_K15.sum()) == pytest.approx(2.0, rel=1e-15)
-        assert float(_WEIGHTS_G7.sum()) == pytest.approx(2.0, rel=1e-15)
+        assert math.fsum(WEIGHTS_K15) == pytest.approx(2.0, rel=1e-15)
+        assert math.fsum(WEIGHTS_G7) == pytest.approx(2.0, rel=1e-15)
 
     @pytest.mark.parametrize("m", range(0, 23, 2))
     def test_kronrod_even_moments_through_degree_22(self, m):
-        got = float(_WEIGHTS_K15 @ _NODES**m)
-        assert got == pytest.approx(2.0 / (m + 1), rel=2e-15)
+        assert self.kronrod(m) == pytest.approx(2.0 / (m + 1), rel=2e-15)
 
     @pytest.mark.parametrize("m", range(0, 13, 2))
     def test_gauss_even_moments_through_degree_13(self, m):
-        got = float(_WEIGHTS_G7 @ _NODES[1::2] ** m)
-        assert got == pytest.approx(2.0 / (m + 1), rel=2e-15)
+        assert self.gauss(m) == pytest.approx(2.0 / (m + 1), rel=2e-15)
 
     @pytest.mark.parametrize("m", range(1, 23, 2))
     def test_odd_moments_vanish(self, m):
-        assert abs(float(_WEIGHTS_K15 @ _NODES**m)) < 1e-15
-        assert abs(float(_WEIGHTS_G7 @ _NODES[1::2] ** m)) < 1e-15
+        assert abs(self.kronrod(m)) < 1e-15
+        assert abs(self.gauss(m)) < 1e-15
 
     def test_degrees_are_sharp(self):
-        k24 = float(_WEIGHTS_K15 @ _NODES**24)
-        g14 = float(_WEIGHTS_G7 @ _NODES[1::2] ** 14)
-        assert abs(k24 - 2.0 / 25.0) / (2.0 / 25.0) > 1e-9
-        assert abs(g14 - 2.0 / 15.0) / (2.0 / 15.0) > 1e-4
+        assert abs(self.kronrod(24) - 2.0 / 25.0) / (2.0 / 25.0) > 1e-9
+        assert abs(self.gauss(14) - 2.0 / 15.0) / (2.0 / 15.0) > 1e-4
 
 
 class TestConfig:
@@ -105,7 +125,7 @@ class TestAdaptiveIntegrate:
         assert result.evaluations == 15
 
     def test_transcendental(self):
-        result = adaptive_integrate(np.exp, 0.0, 1.0)
+        result = adaptive_integrate(math.exp, 0.0, 1.0)
         assert result.value == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_needs_refinement(self):
@@ -120,12 +140,12 @@ class TestAdaptiveIntegrate:
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
-            adaptive_integrate(np.exp, 1.0, 1.0)
+            adaptive_integrate(math.exp, 1.0, 1.0)
         with pytest.raises(ValueError):
-            adaptive_integrate(np.exp, 2.0, 1.0)
+            adaptive_integrate(math.exp, 2.0, 1.0)
 
     def test_evaluations_count_points(self):
-        result = adaptive_integrate(np.cos, 0.0, 40.0, QuadratureConfig(rel_tol=1e-12))
+        result = adaptive_integrate(math.cos, 0.0, 40.0, QuadratureConfig(rel_tol=1e-12))
         assert result.evaluations % 15 == 0
         assert result.converged
 
@@ -188,7 +208,7 @@ class TestIntegrateInverseR4:
         profile = wide("cosh")
 
         def integrand(x):
-            return 1.0 / radius_array(profile, x) ** 4
+            return 1.0 / radius_at(profile, x) ** 4
 
         cfg = QuadratureConfig(rel_tol=1e-12)
         full = adaptive_integrate(integrand, -profile.half_length, profile.half_length, cfg)
@@ -231,12 +251,12 @@ class TestIntegrateInverseR4:
 
     def test_same_as_integrating_radius_array(self):
         # The oracle integrates (1/rho)^4 over t in [0, 1] and scales it by
-        # L/r_min^4; integrating the public, domain-checked radius_array as
+        # L/r_min^4; integrating the public, domain-checked radius_at as
         # 2/r^4 over [0, L/2] gives the same I within both estimates.
         cfg = QuadratureConfig(rel_tol=1e-13)
         for profile in [canonical(t) for t in sorted(ref.INTEGRAL)] + [wide(t) for t in sorted(ref.WIDE_INTEGRAL)]:
             def integrand(x):
-                return 2.0 / radius_array(profile, x) ** 4
+                return 2.0 / radius_at(profile, x) ** 4
 
             direct = adaptive_integrate(integrand, 0.0, profile.half_length, cfg)
             oracle = integrate_inverse_r4(profile, cfg)
@@ -262,6 +282,27 @@ class TestWideRange:
             assert result.converged, profile
             assert result.value == pytest.approx(inverse_r4_integral(profile), rel=1e-12), profile
             assert result.evaluations <= 20_000, profile
+
+    def test_widest_cosh_tube(self):
+        # r_max/r_min is the largest double, so cosh(w) sits at the double range's end.
+        profile = make_profile(ShapeKind.HYPERBOLIC_COSINE, 1.0, sys.float_info.max, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = integrate_inverse_r4(profile)
+        assert result.converged
+        assert result.value == pytest.approx(inverse_r4_integral(profile), rel=1e-12)
+
+    def test_overflowing_rho_counts_as_zero(self, monkeypatch):
+        # math.cosh raises OverflowError where numpy gives inf; 1/rho is 0 there.
+        # With rho = cosh(1000 t), F = int_0^1 sech^4(1000 t) dt = (2/3)/1000.
+        def rho(d, m):
+            return lambda t: m.cosh(1e3 * t)
+
+        kind = ShapeKind.HYPERBOLIC_COSINE
+        monkeypatch.setitem(geometry._SHAPES, kind, geometry._SHAPES[kind]._replace(rho=rho))
+        result = integrate_inverse_r4(make_profile(kind, 1e-3, 2e-3, 1.0))
+        assert result.converged
+        assert result.value == pytest.approx((2.0 / 3.0) / 1e3 / 1e-12, rel=1e-12)
 
     def test_no_converged_zero(self):
         # The waist peak, ~1e-303 wide in t, once fell between the nodes: the
@@ -296,7 +337,7 @@ class TestFold:
     @staticmethod
     def full_tube(profile):
         return adaptive_integrate(
-            lambda x: 1.0 / radius_array(profile, x) ** 4, -profile.half_length, profile.half_length
+            lambda x: 1.0 / radius_at(profile, x) ** 4, -profile.half_length, profile.half_length
         )
 
     @pytest.mark.parametrize("kind", list(ShapeKind), ids=lambda kind: kind.value)
@@ -312,31 +353,39 @@ class TestFold:
 
 
 def staggered_integrand(max_depth, decay=64.0, excess=30.0, rel_tol=1e-3):
-    """An integrand that keeps refining one panel per generation until the
-    generation limit, 2 * max_depth + 8, runs out.
+    """An integrand on [0, 1] that keeps refining one panel per generation
+    until the generation limit, 2 * max_depth + 8, runs out.
 
-    Numbering panels breadth-first (the children of panel j are 2j+1 and
-    2j+2), it hands panel j < 2 * max_depth + 8 the integral decay**-j and a
-    Kronrod-Gauss gap ``excess`` times its width's share of a budget at
-    that scale, and every later panel nothing.  Panel j is then the only
-    panel worth splitting at generation j.  It relies on the evaluation
-    order of adaptive_integrate: one call per generation, left children
-    before right ones.
+    Numbering panels in the order they are evaluated (the children of
+    panel j are then 2j+1 and 2j+2), it hands panel j < 2 * max_depth + 8
+    the integral decay**-j and a Kronrod-Gauss gap ``excess`` times its
+    width's share of a budget at that scale, and every later panel
+    nothing.  Panel j is then the only panel worth splitting at generation
+    j.  It relies on adaptive_integrate evaluating one panel at a time,
+    with 15 calls each and a left child before its right sibling.
     """
-    generations = itertools.count()
+    calls = itertools.count()
+
+    def bounds(j):
+        if j == 0:
+            return 0.0, 1.0
+        a, b = bounds((j - 1) // 2)
+        mid = 0.5 * (a + b)
+        return (a, mid) if j % 2 else (mid, b)
 
     def fn(x):
-        generation = next(generations)
-        ids = [0] if generation == 0 else [2 * generation - 1, 2 * generation]
-        half = 0.5 * (x[:, -1] - x[:, 0]) / _NODES[-1]
-        f = np.zeros_like(x)
-        for row, j in enumerate(ids):
-            if j < 2 * max_depth + 8:
-                mass = decay**-j
-                gap = excess * 2.0 * half[row] * rel_tol * mass
-                f[row] = (mass - gap) / (2.0 * half[row])
-                f[row, 0] += gap / (half[row] * _WEIGHTS_K15[0])  # not a Gauss node
-        return f
+        j = next(calls) // 15
+        if j >= 2 * max_depth + 8:
+            return 0.0
+        a, b = bounds(j)
+        half = 0.5 * (b - a)
+        mass = decay**-j
+        gap = excess * 2.0 * half * rel_tol * mass
+        value = (mass - gap) / (2.0 * half)
+        if x < 0.5 * (a + b) - half * _KRONROD_POSITIVE[1]:
+            # The outermost left node, which is not a Gauss node.
+            value += gap / (half * _KRONROD_PAIR_WEIGHTS[0])
+        return value
 
     return fn
 
@@ -352,8 +401,10 @@ class TestStopReason:
         assert result.stop_reason == "max_depth"
 
     def test_rounding_floor(self):
-        # One panel already meets exp at rounding level; 1e-17 asks for more.
-        result = adaptive_integrate(np.exp, 0.0, 1.0, QuadratureConfig(rel_tol=1e-17))
+        # On [0, 1.8] the G7 rule misses exp by ~2e-16 relative: a gap over
+        # the 1e-17 budget but under the 4 eps rounding floor, so no split.
+        result = adaptive_integrate(math.exp, 0.0, 1.8, QuadratureConfig(rel_tol=1e-17))
+        assert result.error_estimate > 0.0
         assert result.stop_reason == "rounding_floor"
         assert result.evaluations == 15
 
@@ -371,7 +422,7 @@ class TestStopReason:
 
     def test_non_finite(self):
         # An infinite estimate would otherwise meet its own infinite budget.
-        result = adaptive_integrate(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
+        result = adaptive_integrate(lambda x: math.inf if x > 0.5 else 1.0, 0.0, 1.0)
         assert result.stop_reason == "non_finite"
         assert not result.converged
 
@@ -444,28 +495,24 @@ class TestVerifyAnalytic:
 
 
 class TestWorstFirst:
-    """The panel cap keeps the worst offenders, ties broken as the original
-    array form of the rule broke them."""
+    """The panel cap keeps the worst offenders: larger gap first, and of
+    equal gaps the lower panel index."""
 
-    @staticmethod
-    def array_rule(gap, can_split, room):
-        order = np.argsort(gap)[::-1]
-        keep = order[can_split[order]][:room]
-        mask = np.zeros_like(can_split)
-        mask[keep] = True
-        return np.flatnonzero(mask).tolist()
+    def test_ties_go_to_the_lower_index(self):
+        assert _worst_first([1.0, 2.0, 2.0, 1.0, 2.0], [0, 1, 2, 3, 4], 2) == [1, 2]
+        assert _worst_first([1.0, 2.0, 2.0, 1.0, 2.0], [0, 3, 4], 2) == [0, 4]
 
-    def test_matches_the_array_rule_with_ties(self):
-        rng = np.random.default_rng(41)
+    def test_matches_the_ranking_rule_with_ties(self):
+        rng = random.Random(41)
         for _ in range(500):
-            n = int(rng.integers(2, 60))
-            gap = rng.choice([0.0, 1e-9, 2.5e-9, 1e-7], size=n)
-            can_split = rng.random(n) < 0.7
-            split = np.flatnonzero(can_split).tolist()
+            n = rng.randint(2, 60)
+            gap = [rng.choice([0.0, 1e-9, 2.5e-9, 1e-7]) for _ in range(n)]
+            split = [i for i in range(n) if rng.random() < 0.7]
             if not split:
                 continue
-            room = int(rng.integers(1, len(split) + 1))
-            assert _worst_first(gap.tolist(), split, room) == self.array_rule(gap, can_split, room)
+            room = rng.randint(1, len(split))
+            ranked = sorted(split, key=lambda i: (-gap[i], i))
+            assert _worst_first(gap, split, room) == sorted(ranked[:room])
 
 
 class TestSweepCallContract:

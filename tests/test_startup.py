@@ -1,4 +1,5 @@
-"""Start-up contract: numpy loads only for sampling and quadrature.
+"""Start-up contract: numpy loads only for sampling and seeded sweeps, and
+the quadrature module only when a quadrature name is used.
 
 Each check runs in a fresh interpreter, because numpy stays in
 ``sys.modules`` once anything in the test process has imported it.
@@ -28,7 +29,7 @@ def run_python(code: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "module", ["capflow", "capflow.analytic", "capflow.network", "capflow.cli"]
+    "module", ["capflow", "capflow.analytic", "capflow.network", "capflow.cli", "capflow.quadrature"]
 )
 def test_import_leaves_numpy_unloaded(module):
     out = run_python(f"""
@@ -39,13 +40,46 @@ def test_import_leaves_numpy_unloaded(module):
     assert out == "False\n"
 
 
+@pytest.mark.parametrize("module", ["capflow", "capflow.cli"])
+def test_import_leaves_quadrature_unloaded(module):
+    out = run_python(f"""
+        import sys
+        import {module}
+        print("capflow.quadrature" in sys.modules)
+    """)
+    assert out == "False\n"
+
+
+def test_oracle_runs_without_numpy():
+    out = run_python("""
+        import sys
+        from capflow import ShapeKind, integrate_inverse_r4, make_profile, verify_analytic
+        profile = make_profile(ShapeKind.SINUSOIDAL, 1e-3, 2e-3, 0.1)
+        assert integrate_inverse_r4(profile).converged
+        assert verify_analytic(profile, 1e-9).passed
+        print("numpy" in sys.modules)
+    """)
+    assert out == "False\n"
+
+
+def test_sweep_loads_numpy():
+    out = run_python("""
+        import sys
+        from capflow import CORRUGATED, verification_sweep
+        assert all(report.passed for report in verification_sweep(CORRUGATED, 1, 1e-9, seed=3))
+        print("numpy" in sys.modules)
+    """)
+    assert out == "True\n"
+
+
 def _dispatch(argv) -> str:
+    """Whether numpy, and then the quadrature module, are loaded after the command."""
     return run_python(f"""
         import contextlib, io, sys
         import capflow.cli
         with contextlib.redirect_stdout(io.StringIO()):
             capflow.cli.cli.main({argv!r}, prog_name="capflow", standalone_mode=False)
-        print("numpy" in sys.modules)
+        print("numpy" in sys.modules, "capflow.quadrature" in sys.modules)
     """)
 
 
@@ -58,7 +92,7 @@ def _dispatch(argv) -> str:
     ids=["pdrop", "qflow"],
 )
 def test_closed_form_commands_leave_numpy_unloaded(argv):
-    assert _dispatch(argv) == "False\n"
+    assert _dispatch(argv) == "False False\n"
 
 
 def test_network_command_leaves_numpy_unloaded(tmp_path):
@@ -66,12 +100,12 @@ def test_network_command_leaves_numpy_unloaded(tmp_path):
     spec = tmp_path / "net.json"
     spec.write_text(json.dumps({"type": "parallel", "elements": [tube, tube]}), encoding="utf-8")
     argv = ["network", str(spec), "--viscosity", "1e-3", "--flow", "1e-9"]
-    assert _dispatch(argv) == "False\n"
+    assert _dispatch(argv) == "False False\n"
 
 
 def test_profile_command_loads_numpy():
     # The same probe must see numpy when a command does need it.
-    assert _dispatch(["profile", *TUBE, "--samples", "5"]) == "True\n"
+    assert _dispatch(["profile", *TUBE, "--samples", "5"]) == "True False\n"
 
 
 def test_every_public_name_resolves():
