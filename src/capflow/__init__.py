@@ -6,8 +6,8 @@ doubles as an independent check on them, and series/parallel composition
 of tubes into hydraulic networks.
 
 The quadrature exports load on first access (PEP 562), so ``import
-capflow`` and the closed forms never import the quadrature module; numpy
-loads only with the samplers and the seeded sweep.
+capflow`` and the closed forms never import the quadrature module.  No
+module imports numpy.
 """
 
 from .analytic import (
@@ -31,9 +31,11 @@ from .errors import (
     NonPositiveViscosityError,
     NotConvergedError,
     OutOfDomainError,
+    QuadratureInputError,
     RadiusOrderError,
     StraightRadiusMismatchError,
     TooFewSamplesError,
+    TooManySamplesError,
 )
 from .geometry import (
     CORRUGATED,
@@ -112,6 +114,8 @@ __all__ = [
     "GeometryRangeError",
     "FlowRangeError",
     "TooFewSamplesError",
+    "TooManySamplesError",
+    "QuadratureInputError",
     "EmptyCompositeError",
     "NotConvergedError",
     "NetworkSpecError",

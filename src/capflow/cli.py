@@ -103,7 +103,8 @@ class _Command(click.Command):
         except CapillaryFlowError as exc:
             raise click.UsageError(f"{type(exc).__name__}: {exc}", ctx) from exc
         except MemoryError as exc:
-            # numpy's, as for `profile --samples 1000000000000`; exit 1 means a failed verification.
+            # Python's own, which a large table can still reach below MAX_SAMPLES; exit 1
+            # means a failed verification.
             click.echo(f"error: out of memory{f': {exc}' if str(exc) else ''}", err=True)
             sys.exit(2)
 

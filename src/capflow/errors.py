@@ -59,6 +59,19 @@ class TooFewSamplesError(CapillaryFlowError, ValueError):
     """A profile table was requested with fewer than two samples."""
 
 
+class TooManySamplesError(CapillaryFlowError, ValueError):
+    """A profile table was requested with more than ``geometry.MAX_SAMPLES`` samples."""
+
+
+class QuadratureInputError(CapillaryFlowError, ValueError):
+    """A setting of the integrator or the sweep was invalid.
+
+    A tolerance or depth limit of ``QuadratureConfig``, an empty or reversed
+    interval of ``adaptive_integrate``, or a seed of ``verification_sweep``
+    that is no non-negative integer.
+    """
+
+
 class EmptyCompositeError(CapillaryFlowError, ValueError):
     """A series or parallel network node had no elements."""
 

@@ -21,13 +21,11 @@ w = ln 2 + log1p(d) once d (d + 2) overflows, and g switches to its series
 near 0.  All quantities are SI (metres).
 
 The private table ``_SHAPES`` is the only home of rho and F: the samplers
-here compute r from rho over numpy arrays, the closed forms of
-``analytic`` are F, and the oracle of ``quadrature`` integrates rho over
-Python floats through ``math``.  numpy is imported only by the functions
-that build arrays, so the closed forms and the oracle never load it.  The
-samplers (``radius_at``, ``radius_array``, ``sample_profile``) check the
-domain and clamp rho's few-ulp drift into [r_min, r_max]; the oracle uses
-rho bare.
+here compute r from rho, the closed forms of ``analytic`` are F, and the
+oracle of ``quadrature`` integrates rho, all over Python floats through
+``math``.  The samplers (``radius_at``, ``radius_array``,
+``sample_profile``) check the domain, return r_max itself at x = +-L/2 and
+clamp rho's few-ulp drift into [r_min, r_max]; the oracle uses rho bare.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     GeometryRangeError,
@@ -45,15 +43,12 @@ from .errors import (
     RadiusOrderError,
     StraightRadiusMismatchError,
     TooFewSamplesError,
+    TooManySamplesError,
 )
-
-if TYPE_CHECKING:
-    from types import ModuleType
-
-    import numpy as np
 
 __all__ = [
     "DOMAIN_TOLERANCE",
+    "MAX_SAMPLES",
     "ShapeKind",
     "CORRUGATED",
     "RadiusProfile",
@@ -67,6 +62,10 @@ __all__ = [
 # Relative slack on |x| <= L/2, absorbing endpoint rounding from samplers
 # and quadrature nodes that land exactly on the boundary.
 DOMAIN_TOLERANCE = 1e-12
+
+# The most rows ``sample_profile`` builds: far more than a plot resolves, and
+# a table of that many Python floats still fits in a few hundred MiB.
+MAX_SAMPLES = 1_000_000
 
 
 class ShapeKind(enum.Enum):
@@ -177,20 +176,20 @@ def _cosh_rate(d: float) -> float:
 # rho's constructors beyond a one-line lambda: see ``_Shape.rho``.
 
 
-def _rho_hyperbolic(d, m):
-    hypot = m.hypot
+def _rho_hyperbolic(d):
+    hypot = math.hypot
     slope = math.sqrt(d) * math.sqrt(d + 2.0)
     return lambda t: hypot(1.0, t * slope)
 
 
-def _rho_cosh(d, m):
-    cosh = m.cosh
+def _rho_cosh(d):
+    cosh = math.cosh
     w = _cosh_rate(d)
     return lambda t: cosh(w * t)
 
 
-def _rho_sinusoidal(d, m):
-    sin = m.sin
+def _rho_sinusoidal(d):
+    sin = math.sin
     k = 0.5 * math.pi
 
     def rho(t):
@@ -234,22 +233,21 @@ def _f_sinusoidal(d: float) -> float:
 class _Shape(NamedTuple):
     """One profile in dimensionless form (see the module docstring).
 
-    ``rho(d, m)`` returns the t -> rho map of the tube with that d, built
-    from the kernel module ``m``: ``math`` maps a float t in [0, 1] to a
-    float, ``numpy`` an array to an array.  rho is unclamped: it can drift
-    a few ulp outside [1, 1 + d], and for d near the double range's end
-    ``math`` can raise OverflowError where ``numpy`` gives inf.  ``F(d)``
-    is a positive double for every finite d >= 0.
+    ``rho(d)`` returns the t -> rho map of the tube with that d, from a
+    float t in [0, 1] to a float.  rho is unclamped: it can drift a few
+    ulp outside [1, 1 + d], and for d near the double range's end it can
+    raise OverflowError (``math.cosh``) or give inf.  ``F(d)`` is a
+    positive double for every finite d >= 0.
     """
 
-    rho: Callable[[float, ModuleType], Callable]
+    rho: Callable[[float], Callable[[float], float]]
     F: Callable[[float], float]
 
 
 _SHAPES = {
-    ShapeKind.STRAIGHT: _Shape(lambda d, m: lambda t: 0.0 * t + 1.0, lambda d: 1.0),
-    ShapeKind.CONICAL: _Shape(lambda d, m: lambda t: 1.0 + d * t, _f_conical),
-    ShapeKind.PARABOLIC: _Shape(lambda d, m: lambda t: 1.0 + d * (t * t), _f_parabolic),
+    ShapeKind.STRAIGHT: _Shape(lambda d: lambda t: 1.0, lambda d: 1.0),
+    ShapeKind.CONICAL: _Shape(lambda d: lambda t: 1.0 + d * t, _f_conical),
+    ShapeKind.PARABOLIC: _Shape(lambda d: lambda t: 1.0 + d * (t * t), _f_parabolic),
     ShapeKind.HYPERBOLIC: _Shape(_rho_hyperbolic, _f_hyperbolic),
     ShapeKind.HYPERBOLIC_COSINE: _Shape(_rho_cosh, _f_cosh),
     ShapeKind.SINUSOIDAL: _Shape(_rho_sinusoidal, _f_sinusoidal),
@@ -275,29 +273,48 @@ def _range_error(profile: RadiusProfile, problem: str) -> GeometryRangeError:
     )
 
 
-def _radii(profile: RadiusProfile, xs: np.ndarray) -> np.ndarray:
-    """r = r_min rho(2|x|/L; d) at in-domain positions, for the public samplers.
+def _sampler(profile: RadiusProfile) -> Callable[[float], float]:
+    """x -> r(x) = r_min rho(2|x|/L; d) for positions x in [-L/2, L/2].
 
-    Each radius is a finite double in [r_min, r_max]: rho's drift past its
-    bounds is clamped off here, because the geometric bounds are part of
-    the samplers' contract.  Raises GeometryRangeError when a step of
-    evaluating rho overflows or gives NaN, since the clamp would silently
-    turn an inf into r_max.  The product r_min rho may overflow: it exceeds
-    r_max by rho's drift at most, so it is inf only where the clamp gives
-    r_max anyway.
+    Each radius is a finite double in [r_min, r_max]: r_max itself where t
+    reaches 1, and elsewhere rho's drift past its bounds clamped off,
+    because the geometric bounds are part of the samplers' contract.
+    Raises GeometryRangeError when d, or rho at some t, is no finite
+    double, since the clamp would silently turn an inf into r_max.  The
+    product r_min rho may overflow: it exceeds r_max by rho's drift at
+    most, so it is inf only where the clamp gives r_max anyway.
     """
-    import numpy as np
-
     shape, d = _dimensionless(profile)
+    rho = shape.rho(d)
+    r_min, r_max, length = profile.r_min, profile.r_max, profile.length
+
+    def radius(x: float) -> float:
+        t = 2.0 * abs(x) / length
+        if t >= 1.0:
+            return r_max
+        try:
+            value = rho(t)
+        except OverflowError:
+            value = math.inf
+        if not value < math.inf:
+            raise _range_error(profile, "the values of r(x) are not finite doubles")
+        return min(max(r_min * value, r_min), r_max)
+
+    return radius
+
+
+def _position(profile: RadiusProfile, x) -> float:
+    """x as a float clamped into [-L/2, L/2], if it lies within DOMAIN_TOLERANCE of it."""
+    half = profile.half_length
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            rho = shape.rho(d, np)(2.0 * np.abs(xs) / profile.length)
-    except FloatingPointError:
-        raise _range_error(profile, "the values of r(x) are not finite doubles") from None
-    with np.errstate(over="ignore"):
-        r = profile.r_min * rho
-    # np.clip's semantics without its Python-level wrapper.
-    return np.minimum(np.maximum(r, profile.r_min), profile.r_max)
+        x = float(x)
+    except OverflowError:
+        raise OutOfDomainError(
+            f"a position lies outside [-L/2, L/2] = [{-half!r}, {half!r}]: it exceeds the double range"
+        ) from None
+    if not abs(x) <= half * (1.0 + DOMAIN_TOLERANCE):
+        raise OutOfDomainError(f"x={x!r} lies outside [-L/2, L/2] = [{-half!r}, {half!r}]")
+    return min(max(x, -half), half)
 
 
 def radius_at(profile: RadiusProfile, x: float) -> float:
@@ -308,60 +325,62 @@ def radius_at(profile: RadiusProfile, x: float) -> float:
     raises OutOfDomainError.  Raises GeometryRangeError when r(x) cannot be
     evaluated in double precision.
     """
-    return float(radius_array(profile, x))
+    x = _position(profile, x)
+    return _sampler(profile)(x)
 
 
-def radius_array(profile: RadiusProfile, x) -> np.ndarray:
-    """Vectorized :func:`radius_at` over an array of positions."""
-    import numpy as np
+def radius_array(profile: RadiusProfile, xs: Iterable[float]) -> list[float]:
+    """:func:`radius_at` over an iterable of positions, as a list of floats.
 
-    try:
-        x = np.asarray(x, dtype=float)
-    except OverflowError:
-        raise OutOfDomainError(
-            f"a position lies outside [-L/2, L/2] = [{-profile.half_length!r}, "
-            f"{profile.half_length!r}]: it exceeds the double range"
-        ) from None
-    bad = ~(np.abs(x) <= profile.half_length * (1.0 + DOMAIN_TOLERANCE))
-    if bad.any():
-        raise OutOfDomainError(
-            f"x={float(x[bad].flat[0])!r} lies outside [-L/2, L/2] = "
-            f"[{-profile.half_length!r}, {profile.half_length!r}]"
-        )
-    return _radii(profile, np.clip(x, -profile.half_length, profile.half_length))
+    Every position is checked before any radius is computed.
+    """
+    positions = [_position(profile, x) for x in xs]
+    return list(map(_sampler(profile), positions))
 
 
 @dataclass(frozen=True)
 class ProfileTable:
     """Uniformly spaced (x, r) samples spanning [-L/2, L/2] inclusive."""
 
-    x: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self):
-        self.x.setflags(write=False)
-        self.r.setflags(write=False)
+    x: tuple[float, ...]
+    r: tuple[float, ...]
 
     def __len__(self) -> int:
         return len(self.x)
 
     def rows(self) -> Iterator[tuple[float, float]]:
-        for xi, ri in zip(self.x, self.r):
-            yield float(xi), float(ri)
+        return zip(self.x, self.r)
+
+
+def _grid(half: float, n: int) -> list[float]:
+    """n points from -half to half, endpoints included, as ``numpy.linspace`` places them.
+
+    Point i is i*step - half with step = 2 half/(n - 1), or
+    i/(n - 1) * 2 half where that step underflows to 0, and the last point
+    is half itself: for L near the largest double, (n - 1) step may round
+    past it.
+    """
+    div = n - 1
+    delta = half + half
+    step = delta / div
+    if step == 0.0:
+        xs = [i / div * delta - half for i in range(n)]
+    else:
+        xs = [i * step - half for i in range(n)]
+    xs[-1] = half
+    return xs
 
 
 def sample_profile(profile: RadiusProfile, n_samples: int) -> ProfileTable:
     """Sample r(x) at n_samples uniform points, endpoints included.
 
-    Raises TooFewSamplesError when n_samples < 2, and GeometryRangeError
-    when r(x) cannot be evaluated in double precision.
+    Raises TooFewSamplesError when n_samples < 2, TooManySamplesError when
+    n_samples > MAX_SAMPLES (before building anything), and
+    GeometryRangeError when r(x) cannot be evaluated in double precision.
     """
     if n_samples < 2:
         raise TooFewSamplesError(f"need at least 2 samples, got {n_samples}")
-    import numpy as np
-
-    # For L near the largest double, linspace's last step overflows before
-    # it is replaced by the endpoint.
-    with np.errstate(over="ignore"):
-        xs = np.linspace(-profile.half_length, profile.half_length, int(n_samples))
-    return ProfileTable(x=xs, r=_radii(profile, xs))
+    if n_samples > MAX_SAMPLES:
+        raise TooManySamplesError(f"need at most {MAX_SAMPLES} samples, got {n_samples}")
+    xs = tuple(_grid(profile.half_length, int(n_samples)))
+    return ProfileTable(x=xs, r=tuple(map(_sampler(profile), xs)))

@@ -22,28 +22,28 @@ calls, and its Kronrod and Gauss sums are formed in one fixed written
 order, so the bits depend on neither numpy nor a BLAS build.  Panel
 contributions and gaps are summed with ``math.fsum``, which rounds
 correctly whatever the order, so results are bit-for-bit reproducible.
-numpy is imported only by ``verification_sweep``, for the pinned
-``default_rng`` draws.
+``verification_sweep`` draws its geometries from a pure-Python port of
+numpy's ``default_rng`` stream, bit for bit, so nothing here imports
+numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
+from ._pcg64 import Generator
 from .analytic import Fluid, _integral, _pressure_drop_of, pressure_drop
-from .errors import NotConvergedError
+from .errors import NotConvergedError, QuadratureInputError
 from .geometry import RadiusProfile, ShapeKind, _dimensionless, make_profile
 
 # Not used here since the oracle integrates rho, but kept as a module
 # attribute: the traced verify pass of perfbench swaps it together
 # with this module's other entry points.
 from .geometry import radius_array  # noqa: F401
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "QuadratureConfig",
@@ -117,11 +117,11 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0) or not math.isfinite(self.rel_tol):
-            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+            raise QuadratureInputError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
         if self.abs_tol < 0.0 or not math.isfinite(self.abs_tol):
-            raise ValueError(f"abs_tol must be >= 0 and finite, got {self.abs_tol!r}")
+            raise QuadratureInputError(f"abs_tol must be >= 0 and finite, got {self.abs_tol!r}")
         if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth!r}")
+            raise QuadratureInputError(f"max_depth must be >= 1, got {self.max_depth!r}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -219,7 +219,7 @@ def adaptive_integrate(
     lower = float(lower)
     upper = float(upper)
     if not (upper > lower):
-        raise ValueError(f"need upper > lower, got [{lower!r}, {upper!r}]")
+        raise QuadratureInputError(f"need upper > lower, got [{lower!r}, {upper!r}]")
     return QuadratureResult(*_integrate(fn, [lower, upper], config.rel_tol, config.abs_tol, config.max_depth))
 
 
@@ -313,7 +313,7 @@ def integrate_inverse_r4(
     finite double.
     """
     shape, d = _dimensionless(profile)
-    rho = shape.rho(d, math)
+    rho = shape.rho(d)
 
     def integrand(t):
         try:
@@ -414,20 +414,22 @@ def _scaled(bounds: tuple[float, float], u: float) -> float:
     return low + (high - low) * u
 
 
-def random_profile(kind: ShapeKind, rng: np.random.Generator) -> RadiusProfile:
+def random_profile(kind: ShapeKind, rng) -> RadiusProfile:
     """Draw one profile from the verified envelope (see module constants).
 
     Straight tubes take r_max = r_min since their ratio is pinned to 1, and
     draw no ratio.  The uniforms come from one ``rng.random`` call, in the
     order r_min, ratio, length; each draw equals what ``rng.uniform`` over
-    the same bounds returns.
+    the same bounds returns.  ``rng`` is the sweep's generator, or
+    anything whose ``random(n)`` gives n floats in [0, 1), such as a
+    ``numpy.random.Generator``.
     """
     if kind is ShapeKind.STRAIGHT:
-        u_rmin, u_length = rng.random(2).tolist()
+        u_rmin, u_length = rng.random(2)
         r_min = 10.0 ** _scaled(_LOG10_RMIN, u_rmin)
         r_max = r_min
     else:
-        u_rmin, u_ratio, u_length = rng.random(3).tolist()
+        u_rmin, u_ratio, u_length = rng.random(3)
         r_min = 10.0 ** _scaled(_LOG10_RMIN, u_rmin)
         r_max = r_min * (1.0 + 10.0 ** _scaled(_LOG10_RATIO_EXCESS, u_ratio))
     length = 10.0 ** _scaled(_LOG10_LENGTH, u_length)
@@ -443,13 +445,20 @@ def verification_sweep(
 ) -> list[VerificationReport]:
     """Run ``trials`` randomized verify_analytic calls per shape.
 
-    Reports are ordered by shape (as given) then trial index.
+    Reports are ordered by shape (as given) then trial index.  Each shape
+    draws from the stream that ``numpy.random.default_rng([seed, index])``
+    gives, index being the shape's place in ``ShapeKind``.  Raises
+    QuadratureInputError when ``seed`` is no non-negative integer.
     """
-    import numpy as np
-
+    try:
+        seed_value = operator.index(seed)
+    except TypeError:
+        seed_value = -1
+    if seed_value < 0:
+        raise QuadratureInputError(f"seed must be a non-negative integer, got {seed!r}")
     reports: list[VerificationReport] = []
     for kind in kinds:
-        rng = np.random.default_rng([seed, _KIND_STREAM[kind]])
+        rng = Generator([seed_value, _KIND_STREAM[kind]])
         for _ in range(trials):
             profile = random_profile(kind, rng)
             reports.append(verify_analytic(profile, tolerance, config))

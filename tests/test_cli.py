@@ -271,8 +271,22 @@ class TestProfile:
         assert r.returncode == 3
         assert "cannot write" in r.stderr
 
+    def test_too_many_samples_is_usage_error(self, monkeypatch):
+        # The limit is checked before anything is built; the stand-in grid
+        # fails the test should a call over the limit get that far.
+        def no_grid(half, n):
+            raise AssertionError(f"built a grid of {n} points")
+
+        monkeypatch.setattr(capflow.geometry, "_grid", no_grid)
+        for samples in (str(capflow.geometry.MAX_SAMPLES + 1), "1000000000000"):
+            result = CliRunner().invoke(capflow.cli.cli, [*self.ARGS[:-1], samples], prog_name="capflow")
+            assert result.exit_code == 2
+            assert result.stdout_bytes == b""
+            assert "TooManySamplesError: need at most 1000000 samples" in result.stderr_bytes.decode()
+            assert "Traceback" not in result.stderr_bytes.decode()
+
     def test_out_of_memory_is_one_line_and_exit_2(self, monkeypatch):
-        # As numpy raises for `--samples 1000000000000`; the stand-in allocates nothing.
+        # Python can run out of memory below the sample limit; the stand-in allocates nothing.
         def no_memory(profile, n_samples):
             raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
 

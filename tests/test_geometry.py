@@ -20,12 +20,14 @@ from capflow import (
     ShapeKind,
     StraightRadiusMismatchError,
     TooFewSamplesError,
+    TooManySamplesError,
     make_profile,
     radius_array,
     radius_at,
     sample_profile,
 )
-from capflow.geometry import _cosh_rate, _dimensionless
+from capflow import geometry
+from capflow.geometry import DOMAIN_TOLERANCE, MAX_SAMPLES, _cosh_rate, _dimensionless
 
 ALL_KINDS = list(ShapeKind)
 
@@ -85,24 +87,21 @@ class TestShapeParameters:
     """Each shape's dimensionless parameter d, rho(t; d) and F(d) for the
     canonical tube, where d = (2e-3 - 1e-3)/1e-3 = 1."""
 
-    T = np.array([0.0, 0.5, 1.0])
+    T = (0.0, 0.5, 1.0)
 
     def rho(self, shape, d):
-        """rho at T from the numpy kernel, which the math kernel matches at each float t."""
-        values = shape.rho(d, np)(self.T)
-        scalar = shape.rho(d, math)
-        assert [scalar(t) for t in self.T.tolist()] == pytest.approx(values.tolist(), rel=1e-15)
-        return values
+        """rho at each t of T."""
+        return list(map(shape.rho(d), self.T))
 
     def test_conical(self):
         shape, d = _dimensionless(canonical(ShapeKind.CONICAL))
         assert d == 1.0
-        assert self.rho(shape, d).tolist() == [1.0, 1.5, 2.0]
+        assert self.rho(shape, d) == [1.0, 1.5, 2.0]
         assert shape.F(d) == pytest.approx(7.0 / 24.0, rel=1e-15)
 
     def test_parabolic(self):
         shape, d = _dimensionless(canonical(ShapeKind.PARABOLIC))
-        assert self.rho(shape, d).tolist() == [1.0, 1.25, 2.0]
+        assert self.rho(shape, d) == [1.0, 1.25, 2.0]
         assert shape.F(d) == pytest.approx(canonical_f("parabolic"), rel=1e-15)
 
     def test_hyperbolic(self):
@@ -125,13 +124,13 @@ class TestShapeParameters:
     def test_sinusoidal_degenerate_offset(self):
         shape, d = _dimensionless(make_profile(ShapeKind.SINUSOIDAL, 1e-3, 1e-3, 0.1))
         assert d == 0.0
-        assert self.rho(shape, d).tolist() == [1.0, 1.0, 1.0]
+        assert self.rho(shape, d) == [1.0, 1.0, 1.0]
         assert shape.F(d) == 1.0
 
     def test_straight(self):
         shape, d = _dimensionless(make_profile(ShapeKind.STRAIGHT, 1e-3, 1e-3, 0.1))
         assert d == 0.0
-        assert self.rho(shape, d).tolist() == [1.0, 1.0, 1.0]
+        assert self.rho(shape, d) == [1.0, 1.0, 1.0]
         assert shape.F(d) == 1.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -188,6 +187,30 @@ class TestRadiusAt:
         p = make_profile(ShapeKind.STRAIGHT, 2e-3, 2e-3, 0.3)
         assert radius_at(p, 0.11) == 2e-3
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_typed_errors_at_the_domain_edge(self, kind):
+        p = canonical(kind) if kind is not ShapeKind.STRAIGHT else make_profile(kind, 1e-3, 1e-3, 0.1)
+        edge = p.half_length * (1.0 + DOMAIN_TOLERANCE)
+        for x in (edge, -edge):
+            assert radius_at(p, x) == p.r_max
+            with pytest.raises(OutOfDomainError):
+                radius_at(p, math.nextafter(x, math.copysign(math.inf, x)))
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(OutOfDomainError):
+                radius_at(p, x)
+            with pytest.raises(OutOfDomainError):
+                radius_array(p, [0.0, x])
+
+    def test_returns_a_float(self):
+        assert type(radius_at(canonical(ShapeKind.CONICAL), np.float64(0.01))) is float
+
+
+@settings(deadline=None)
+@given(profiles(kinds=ALL_KINDS), st.integers(2, 50))
+def test_radius_at_matches_sample_profile(profile, n):
+    for x, r in sample_profile(profile, n).rows():
+        assert radius_at(profile, x) == r
+
 
 @given(profiles(), st.floats(0.0, 1.0))
 def test_symmetry(profile, t):
@@ -239,8 +262,33 @@ class TestSampleProfile:
 
     def test_table_is_read_only(self):
         t = sample_profile(canonical(ShapeKind.CONICAL), 3)
-        with pytest.raises(ValueError):
+        assert type(t.x) is type(t.r) is tuple
+        with pytest.raises(TypeError):
             t.r[0] = 5.0
+
+    def test_grid_is_numpys_linspace(self):
+        for half in (0.05, 0.385, 1e-320, 5e-324, sys.float_info.max / 2.0):
+            for n in (2, 3, 7, 101):
+                xs = sample_profile(make_profile(ShapeKind.CONICAL, 1e-3, 2e-3, 2.0 * half), n).x
+                with np.errstate(over="ignore"):
+                    assert xs == tuple(np.linspace(-half, half, n).tolist()), (half, n)
+
+    def test_sample_limit(self, monkeypatch):
+        # The limit is checked before anything is built: a stand-in for the
+        # grid shows that no call over the limit gets that far.
+        def no_grid(half, n):
+            raise AssertionError(f"built a grid of {n} points")
+
+        p = canonical(ShapeKind.CONICAL)
+        monkeypatch.setattr(geometry, "_grid", no_grid)
+        for n in (MAX_SAMPLES + 1, 10**12):
+            with pytest.raises(TooManySamplesError, match=f"at most {MAX_SAMPLES} samples"):
+                sample_profile(p, n)
+        monkeypatch.undo()
+        monkeypatch.setattr(geometry, "MAX_SAMPLES", 5)
+        assert len(sample_profile(p, 5)) == 5
+        with pytest.raises(TooManySamplesError):
+            sample_profile(p, 6)
 
     @given(profiles(kinds=ALL_KINDS), st.integers(2, 50))
     def test_same_radii_as_radius_array(self, profile, n):
@@ -252,8 +300,8 @@ class TestSampleProfile:
         t = sample_profile(profile, n)
         assert t.x[0] == -profile.half_length
         assert t.x[-1] == profile.half_length
-        assert np.all(t.r >= profile.r_min)
-        assert np.all(t.r <= profile.r_max)
+        assert t.r[0] == t.r[-1] == profile.r_max
+        assert all(profile.r_min <= r <= profile.r_max for r in t.r)
 
 
 POSITIVE_DOUBLES = st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True)
@@ -314,8 +362,21 @@ class TestSamplerRange:
         # exceeds r_max by rho's drift only, which the clamp takes off.
         big = sys.float_info.max
         profile = make_profile(kind, 3.0, big, 1.0)
-        assert sample_profile(profile, 3).r.tolist() == [big, 3.0, big]
+        assert sample_profile(profile, 3).r == (big, 3.0, big)
         assert radius_at(profile, profile.half_length) == big
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("r_min, r_max", [(1e-3, 1e297), (1.0, sys.float_info.max)], ids=["1e297", "max"])
+    def test_ends_are_r_max(self, kind, r_min, r_max):
+        # cosh(w t) magnifies the rounding of w by w t: rho(1; d) came out
+        # ~350 ulp short of 1 + d at r_max = 1e297.  The end is r_max itself.
+        if kind is ShapeKind.STRAIGHT:
+            r_min = r_max
+        profile = make_profile(kind, r_min, r_max, 1.0)
+        for n in (2, 3, 101):
+            table = sample_profile(profile, n)
+            assert table.r[0] == table.r[-1] == r_max
+        assert radius_at(profile, profile.half_length) == radius_at(profile, -profile.half_length) == r_max
 
     @pytest.mark.parametrize(
         "kind, r_min, r_max, length, quarter",
@@ -330,7 +391,7 @@ class TestSamplerRange:
     def test_extreme_lengths_sample(self, kind, r_min, r_max, length, quarter):
         # r depends on x only through t = 2|x|/L, so no length is out of range.
         profile = make_profile(kind, r_min, r_max, length)
-        assert sample_profile(profile, 3).r.tolist() == [r_max, r_min, r_max]
+        assert sample_profile(profile, 3).r == (r_max, r_min, r_max)
         assert radius_at(profile, 0.25 * profile.half_length) == pytest.approx(quarter, rel=1e-15)
 
     def test_nan_position_is_out_of_domain(self):
@@ -349,7 +410,7 @@ class TestSamplerRange:
         # rho no square of a radius is formed.
         profile = make_profile(ShapeKind.HYPERBOLIC, 1e-200, 1e-100, 1.0)
         assert radius_at(profile, 5e-101) == pytest.approx(1e-200 * math.sqrt(2.0), rel=1e-15)
-        assert sample_profile(profile, 3).r.tolist() == [1e-100, 1e-200, 1e-100]
+        assert sample_profile(profile, 3).r == (1e-100, 1e-200, 1e-100)
 
     @pytest.mark.parametrize("r_min", [1.5e-154, 1e-150, 1e-3])
     def test_hyperbolic_normal_rmin_squared_is_kept(self, r_min):

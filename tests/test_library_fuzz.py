@@ -111,8 +111,8 @@ def test_samplers(profile, t, x, n):
     for call in (
         lambda: [radius_at(profile, inside)],
         lambda: [radius_at(profile, x)],
-        lambda: radius_array(profile, [x, inside, -inside, 0.0]).tolist(),
-        lambda: sample_profile(profile, n).r.tolist(),
+        lambda: radius_array(profile, [x, inside, -inside, 0.0]),
+        lambda: sample_profile(profile, n).r,
     ):
         radii = outcome(call)
         assert radii is None or all(profile.r_min <= r <= profile.r_max for r in radii)

@@ -13,7 +13,6 @@ import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import reference_data as ref
@@ -31,6 +30,7 @@ from capflow import (
     verification_sweep,
 )
 from capflow import quadrature
+from capflow._pcg64 import Generator
 
 PIN_CONFIGS = (
     ("default", QuadratureConfig()),
@@ -74,11 +74,11 @@ def oracle_rows():
 
 
 def draw_rows():
-    """random_profile draws for every shape, the straight tube included."""
+    """random_profile draws from the sweep's streams for every shape, the straight tube included."""
     rows = []
     for seed in PIN_SEEDS:
         for index, kind in enumerate(ShapeKind):
-            rng = np.random.default_rng([seed, index])
+            rng = Generator([seed, index])
             for i in range(DRAWS_PER_KIND):
                 p = random_profile(kind, rng)
                 rows.append(f"{seed} {kind.value} {i} {p.r_min.hex()} {p.r_max.hex()} {p.length.hex()}")

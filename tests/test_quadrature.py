@@ -12,9 +12,11 @@ from strategies import CORRUGATED
 
 from capflow import (
     DEFAULT_CONFIG,
+    CapillaryFlowError,
     Fluid,
     NotConvergedError,
     QuadratureConfig,
+    QuadratureInputError,
     QuadratureResult,
     ShapeKind,
     adaptive_integrate,
@@ -30,6 +32,7 @@ from capflow import (
     verify_analytic,
 )
 from capflow import geometry, quadrature
+from capflow._pcg64 import Generator
 from capflow.quadrature import (
     _G0,
     _GAUSS_PAIR_WEIGHTS,
@@ -115,6 +118,22 @@ class TestConfig:
     def test_bad_max_depth(self):
         with pytest.raises(ValueError):
             QuadratureConfig(max_depth=0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: QuadratureConfig(rel_tol=0.0),
+            lambda: QuadratureConfig(abs_tol=math.nan),
+            lambda: QuadratureConfig(max_depth=0),
+            lambda: adaptive_integrate(math.exp, 1.0, 1.0),
+            lambda: adaptive_integrate(math.exp, 0.0, math.nan),
+        ],
+        ids=["rel_tol", "abs_tol", "max_depth", "empty-interval", "nan-bound"],
+    )
+    def test_errors_are_typed(self, call):
+        with pytest.raises(QuadratureInputError) as info:
+            call()
+        assert isinstance(info.value, CapillaryFlowError) and isinstance(info.value, ValueError)
 
 
 class TestAdaptiveIntegrate:
@@ -293,10 +312,10 @@ class TestWideRange:
         assert result.value == pytest.approx(inverse_r4_integral(profile), rel=1e-12)
 
     def test_overflowing_rho_counts_as_zero(self, monkeypatch):
-        # math.cosh raises OverflowError where numpy gives inf; 1/rho is 0 there.
+        # math.cosh raises OverflowError past the double range; 1/rho is 0 there.
         # With rho = cosh(1000 t), F = int_0^1 sech^4(1000 t) dt = (2/3)/1000.
-        def rho(d, m):
-            return lambda t: m.cosh(1e3 * t)
+        def rho(d):
+            return lambda t: math.cosh(1e3 * t)
 
         kind = ShapeKind.HYPERBOLIC_COSINE
         monkeypatch.setitem(geometry._SHAPES, kind, geometry._SHAPES[kind]._replace(rho=rho))
@@ -582,9 +601,10 @@ class TestSweep:
         assert profile.r_max == profile.r_min
 
     def test_random_profile_matches_uniform_draws(self):
-        # One rng.random(n) call gives the draws rng.uniform would, in order.
+        # One rng.random(n) call of the sweep's generator gives the draws
+        # numpy's rng.uniform would, in order.
         for kind in ShapeKind:
-            rng = np.random.default_rng([8, _KIND_STREAM[kind]])
+            rng = Generator([8, _KIND_STREAM[kind]])
             twin = np.random.default_rng([8, _KIND_STREAM[kind]])
             for _ in range(200):
                 profile = random_profile(kind, rng)
@@ -594,6 +614,19 @@ class TestSweep:
                     r_max = r_min * (1.0 + 10.0 ** twin.uniform(-9.0, math.log10(99.0)))
                 length = 10.0 ** twin.uniform(-4.0, 1.0)
                 assert (profile.r_min, profile.r_max, profile.length) == (r_min, r_max, length)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 1.5, 3.0, "3", None, [3]], ids=repr)
+    def test_bad_seed_is_typed(self, seed):
+        with pytest.raises(QuadratureInputError, match="seed must be a non-negative integer") as info:
+            verification_sweep(CORRUGATED, 1, 1e-9, seed)
+        assert isinstance(info.value, CapillaryFlowError) and isinstance(info.value, ValueError)
+
+    def test_integer_like_seeds(self):
+        # Anything with __index__ seeds as its integer, as numpy's SeedSequence takes it.
+        want = verification_sweep([ShapeKind.CONICAL], 2, 1e-9, seed=5)
+        assert verification_sweep([ShapeKind.CONICAL], 2, 1e-9, seed=np.int64(5)) == want
+        assert verification_sweep([ShapeKind.CONICAL], 2, 1e-9, seed=True) == (
+            verification_sweep([ShapeKind.CONICAL], 2, 1e-9, seed=1))
 
     def test_reports_carry_evaluations(self):
         config = QuadratureConfig(rel_tol=1e-12)

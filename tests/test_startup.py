@@ -1,5 +1,5 @@
-"""Start-up contract: numpy loads only for sampling and seeded sweeps, and
-the quadrature module only when a quadrature name is used.
+"""Start-up contract: capflow never loads numpy, and loads the quadrature
+module only when a quadrature name is used.
 
 Each check runs in a fresh interpreter, because numpy stays in
 ``sys.modules`` once anything in the test process has imported it.
@@ -62,14 +62,14 @@ def test_oracle_runs_without_numpy():
     assert out == "False\n"
 
 
-def test_sweep_loads_numpy():
+def test_sweep_leaves_numpy_unloaded():
     out = run_python("""
         import sys
         from capflow import CORRUGATED, verification_sweep
         assert all(report.passed for report in verification_sweep(CORRUGATED, 1, 1e-9, seed=3))
         print("numpy" in sys.modules)
     """)
-    assert out == "True\n"
+    assert out == "False\n"
 
 
 def _dispatch(argv) -> str:
@@ -103,9 +103,90 @@ def test_network_command_leaves_numpy_unloaded(tmp_path):
     assert _dispatch(argv) == "False False\n"
 
 
-def test_profile_command_loads_numpy():
-    # The same probe must see numpy when a command does need it.
-    assert _dispatch(["profile", *TUBE, "--samples", "5"]) == "True False\n"
+def test_profile_command_leaves_numpy_unloaded():
+    assert _dispatch(["profile", *TUBE, "--samples", "5"]) == "False False\n"
+
+
+def test_verify_command_leaves_numpy_unloaded():
+    assert _dispatch(["verify", "--trials", "2"]) == "False True\n"
+
+
+def test_probe_sees_numpy():
+    # The probe must see numpy when something does import it.
+    out = run_python("""
+        import sys
+        import numpy
+        print("numpy" in sys.modules)
+    """)
+    assert out == "True\n"
+
+
+def test_everything_runs_with_numpy_blocked(tmp_path):
+    # With numpy unimportable, every public function of capflow and every
+    # CLI command in every format still runs.
+    tube = {"type": "tube", "shape": "cosh", "rmin": 1e-3, "rmax": 2e-3, "length": 0.1}
+    spec = tmp_path / "net.json"
+    spec.write_text(json.dumps({"type": "series", "elements": [tube, tube]}), encoding="utf-8")
+    out = run_python(f"""
+        import sys
+        sys.modules["numpy"] = None
+        import contextlib, inspect, io, math
+        import capflow
+        import capflow.cli
+        from capflow import *
+        from capflow._pcg64 import Generator
+
+        called = set()
+
+        def call(name, *args, **kwargs):
+            called.add(name)
+            return getattr(capflow, name)(*args, **kwargs)
+
+        water = Fluid(1e-3)
+        tubes = [call("make_profile", kind, 1e-3, 1e-3 if kind is ShapeKind.STRAIGHT else 2e-3, 0.1)
+                 for kind in ShapeKind]
+        for p in tubes:
+            assert call("radius_at", p, 0.01) > 0.0
+            assert len(call("radius_array", p, [-0.05, 0.0, 0.05])) == 3
+            assert len(call("sample_profile", p, 7)) == 7
+            assert call("pressure_drop", p, 1e-9, water) > 0.0
+            assert call("flow_rate", p, 1.0, water) > 0.0
+            res = call("hydraulic_resistance", p, water)
+            assert res.flow_rate(res.pressure_drop(1e-9)) > 0.0
+            assert call("equivalent_radius", p) > 0.0
+            assert call("inverse_r4_integral", p) > 0.0
+            assert call("integrate_inverse_r4", p).converged
+            assert call("numeric_pressure_drop", p, 1e-9, water) > 0.0
+            assert call("verify_analytic", p, 1e-9).passed
+            assert call("random_profile", p.kind, Generator([1, 2])).kind is p.kind
+        assert call("poiseuille_pressure_drop", 1e-3, 0.1, 1e-9, water) > 0.0
+        assert call("adaptive_integrate", math.exp, 0.0, 1.0, QuadratureConfig()).converged
+        assert all(r.passed for r in call("verification_sweep", CORRUGATED, 2, 1e-9, 3, DEFAULT_CONFIG))
+        net = Series([Tube(tubes[1]), Parallel([Tube(tubes[2]), Tube(tubes[3])])])
+        assert call("network_resistance", net, water).resistance > 0.0
+        assert call("network_pressure_drop", net, 1e-9, water) > 0.0
+        assert call("network_flow_rate", net, 1.0, water) > 0.0
+        functions = {{name for name in capflow.__all__ if inspect.isfunction(getattr(capflow, name))}}
+        assert called == functions, functions ^ called
+        assert capflow.cli.parse_network_text({spec.read_text()!r}) is not None
+
+        tube = {TUBE!r}
+        commands = [
+            ["pdrop", *tube, "--viscosity", "1e-3", "--flow", "1e-9"],
+            ["qflow", *tube, "--viscosity", "1e-3", "--pressure", "0.07"],
+            ["network", {str(spec)!r}, "--viscosity", "1e-3", "--flow", "1e-9"],
+            ["profile", *tube, "--samples", "5"],
+            ["verify", "--trials", "2"],
+        ]
+        for argv in commands:
+            for fmt in ("plain", "csv", "json"):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    capflow.cli.cli.main([*argv, "--format", fmt], prog_name="capflow", standalone_mode=False)
+                assert stdout.getvalue(), (argv, fmt)
+        print(len(called), len(commands))
+    """)
+    assert out == "19 5\n"
 
 
 def test_every_public_name_resolves():
