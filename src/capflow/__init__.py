@@ -7,7 +7,7 @@ of tubes into hydraulic networks.
 
 The quadrature exports load on first access (PEP 562), so ``import
 capflow`` and the closed forms never import the quadrature module.  No
-module imports numpy.
+module imports numpy, click or dataclasses.
 """
 
 from .analytic import (

@@ -20,9 +20,9 @@ P/Q = mu * G with the fluid-independent geometric factor G = (8/pi) I
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import frexp, ldexp
 
+from ._record import _Record, _set
 from .errors import (
     FlowRangeError,
     GeometryRangeError,
@@ -41,17 +41,15 @@ __all__ = [
     "inverse_r4_integral",
 ]
 
-@dataclass(frozen=True)
-class Fluid:
+class Fluid(_Record):
     """A Newtonian fluid, described by its dynamic viscosity in Pa*s."""
 
-    viscosity: float
+    __slots__ = ("viscosity",)
 
-    def __post_init__(self):
-        if not (self.viscosity > 0.0) or not math.isfinite(self.viscosity):
-            raise NonPositiveViscosityError(
-                f"viscosity must be positive and finite, got {self.viscosity!r}"
-            )
+    def __init__(self, viscosity: float):
+        if not (viscosity > 0.0) or not math.isfinite(viscosity):
+            raise NonPositiveViscosityError(f"viscosity must be positive and finite, got {viscosity!r}")
+        _set(self, "viscosity", viscosity)
 
 
 def _flow_range_error(quantity: str, value: float, **inputs: float) -> FlowRangeError:
@@ -59,16 +57,18 @@ def _flow_range_error(quantity: str, value: float, **inputs: float) -> FlowRange
     return FlowRangeError(f"{quantity} {value!r} is not a finite double for {given}")
 
 
-@dataclass(frozen=True)
-class HydraulicResistance:
+class HydraulicResistance(_Record):
     """P/Q for a tube or network.
 
     ``resistance`` is mu * geometric_factor (Pa*s/m^3);
     ``geometric_factor`` is the fluid-independent G = (8/pi) I (1/m^3).
     """
 
-    resistance: float
-    geometric_factor: float
+    __slots__ = ("resistance", "geometric_factor")
+
+    def __init__(self, resistance: float, geometric_factor: float):
+        _set(self, "resistance", resistance)
+        _set(self, "geometric_factor", geometric_factor)
 
     def pressure_drop(self, flow_rate: float) -> float:
         """P = resistance * Q, in Pa; FlowRangeError unless finite."""

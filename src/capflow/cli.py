@@ -16,25 +16,34 @@ round-trip exact.  Identical invocations produce byte-identical output.
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error
 (any CapillaryFlowError, such as a closed form, network or sampled profile
 that leaves double range, and running out of memory), 3 I/O error.
+
+One table-driven parser on the standard library reads the command line.
+``_COMMANDS`` declares each command's options once; the parse, the
+``--help`` pages (``_help``) and the usage errors all come from it, byte
+for byte as click 8.4 wrote them for the same declarations: ``--opt value``
+and ``--opt=value``, the last repeat of an option wins, and errors come in
+click's order (parameters in command-line order, then in declaration
+order).  ``cli.main`` runs one command line as click's ``Group.main`` did:
+it writes through ``sys.stdout``/``sys.stderr`` as they are at call time,
+and in standalone mode it ends in SystemExit.  ``difflib``, ``textwrap``
+and ``shutil`` load only on the help and error paths.
 """
 
 from __future__ import annotations
 
-import json
+import errno
 import math
+import os
+import stat
 import sys
-
-import click
 
 from .analytic import Fluid, flow_rate, pressure_drop
 from .errors import CapillaryFlowError, NetworkSpecError
-from .geometry import CORRUGATED, RadiusProfile, ShapeKind, make_profile, sample_profile
-from .network import NetworkElement, Parallel, Series, Tube, network_resistance
+from .geometry import CORRUGATED, make_profile, sample_profile
+from .network import _TOKEN_TO_KIND, _read_spec, network_resistance, parse_network_text
 
 __all__ = ["main", "parse_network_text"]
 
-
-_TOKEN_TO_KIND = {kind.value: kind for kind in ShapeKind}
 
 # Unit tokens used in plain lines and JSON records.
 _U_PRESSURE = "Pa"
@@ -47,6 +56,49 @@ _U_GEOMETRIC = "per_m3"
 # The quantity a command is given and the one it answers: (option, name, unit).
 _FLOW = ("--flow", "flow_rate", _U_FLOW)
 _PRESSURE = ("--pressure", "pressure_drop", _U_PRESSURE)
+
+
+class UsageError(Exception):
+    """A usage problem: exit 2, after the usage line of ``usage`` = (command path, arguments) if known."""
+
+    def __init__(self, message: str, usage: tuple[str, str] | None = None):
+        super().__init__(message)
+        self.message = message
+        self.usage = usage
+
+    def show(self) -> None:
+        if self.usage is not None:
+            from ._help import usage_line
+
+            path, pieces = self.usage
+            _echo(f"{usage_line(path, pieces)}\nTry '{path} --help' for help.\n\n", err=True)
+        _echo(f"Error: {self.message}\n", err=True)
+
+
+class _NoArguments(UsageError):
+    """No arguments at all: the group's help page on stderr, exit 2."""
+
+    def show(self) -> None:
+        _echo(self.message + "\n", err=True)
+
+
+def _echo(text: str, err: bool = False) -> None:
+    """Write and flush, dropping ANSI style codes unless the stream is a terminal, as click.echo does."""
+    stream = sys.stderr if err else sys.stdout
+    if "\x1b" in text:
+        try:
+            terminal = stream.isatty()
+        except Exception:
+            terminal = False
+        if not terminal:
+            import re
+
+            text = re.sub(r"\033\[[;?0-9]*[a-zA-Z]", "", text)
+    stream.write(text)
+    stream.flush()
+
+
+# --- output -----------------------------------------------------------------
 
 
 def _cell(value) -> str:
@@ -67,6 +119,8 @@ def _csv_table(header: list[str], rows) -> str:
 
 
 def _json_doc(doc) -> str:
+    import json
+
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -85,62 +139,18 @@ def _emit_record(fmt: str, fields: list[tuple], plain: tuple[str, ...], csv_star
         out = _json_doc(
             {name: value if unit is None else {"value": value, "unit": unit} for name, value, unit in fields}
         )
-    click.echo(out, nl=False)
+    _echo(out)
 
 
 def _require_finite(flag: str, value: float) -> None:
     if not math.isfinite(value):
-        raise click.UsageError(f"{flag} must be finite, got {value!r}")
+        raise UsageError(f"{flag} must be finite, got {value!r}")
 
 
-class _Command(click.Command):
-    """A command that reports a library validation error as a usage error, and
-    running out of memory as one error line, both with exit 2."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except CapillaryFlowError as exc:
-            raise click.UsageError(f"{type(exc).__name__}: {exc}", ctx) from exc
-        except MemoryError as exc:
-            # Python's own, which a large table can still reach below MAX_SAMPLES; exit 1
-            # means a failed verification.
-            click.echo(f"error: out of memory{f': {exc}' if str(exc) else ''}", err=True)
-            sys.exit(2)
-
-
-def _geometry_options(f):
-    f = click.option("--length", type=float, required=True, help="Tube length L [m].")(f)
-    f = click.option("--rmax", type=float, required=True, help="End radius r_max [m].")(f)
-    f = click.option("--rmin", type=float, required=True, help="Waist radius r_min [m].")(f)
-    f = click.option(
-        "--shape",
-        type=click.Choice(list(_TOKEN_TO_KIND)),
-        required=True,
-        help="Radius profile.",
-    )(f)
-    return f
-
-
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["plain", "csv", "json"]),
-    default="plain",
-    show_default=True,
-    help="Output format.",
-)
-
-
-@click.group()
-def cli():
-    """Laminar-flow relations for converging-diverging capillaries."""
-
-
-cli.command_class = _Command
-
-
-# --- single-tube commands -------------------------------------------------
+# --- commands ---------------------------------------------------------------
+#
+# Each takes its options as keyword arguments named after the flags, writes
+# its output, and raises UsageError for a usage problem.
 
 
 def _emit_tube(fmt, shape, rmin, rmax, length, viscosity, given, value, answer, relation) -> None:
@@ -159,70 +169,41 @@ def _emit_tube(fmt, shape, rmin, rmax, length, viscosity, given, value, answer, 
     _emit_record(fmt, fields, plain=(answer[1],))
 
 
-@cli.command("pdrop")
-@_geometry_options
-@click.option("--viscosity", type=float, required=True, help="Dynamic viscosity [Pa*s].")
-@click.option("--flow", type=float, required=True, help="Volumetric flow rate Q [m^3/s].")
-@_format_option
-def cmd_pdrop(shape, rmin, rmax, length, viscosity, flow, fmt):
-    """Pressure drop across one tube at flow rate Q."""
-    _emit_tube(fmt, shape, rmin, rmax, length, viscosity, _FLOW, flow, _PRESSURE, pressure_drop)
+def _pdrop(shape, rmin, rmax, length, viscosity, flow, format):
+    _emit_tube(format, shape, rmin, rmax, length, viscosity, _FLOW, flow, _PRESSURE, pressure_drop)
 
 
-@cli.command("qflow")
-@_geometry_options
-@click.option("--viscosity", type=float, required=True, help="Dynamic viscosity [Pa*s].")
-@click.option("--pressure", type=float, required=True, help="Pressure drop P [Pa].")
-@_format_option
-def cmd_qflow(shape, rmin, rmax, length, viscosity, pressure, fmt):
-    """Flow rate through one tube at pressure drop P."""
-    _emit_tube(fmt, shape, rmin, rmax, length, viscosity, _PRESSURE, pressure, _FLOW, flow_rate)
+def _qflow(shape, rmin, rmax, length, viscosity, pressure, format):
+    _emit_tube(format, shape, rmin, rmax, length, viscosity, _PRESSURE, pressure, _FLOW, flow_rate)
 
 
-@cli.command("profile")
-@_geometry_options
-@click.option("--samples", type=int, required=True, help="Number of rows (>= 2).")
-@_format_option
-@click.option(
-    "--out",
-    "out_path",
-    default="-",
-    show_default=True,
-    help="Output file path, or - for stdout.",
-)
-def cmd_profile(shape, rmin, rmax, length, samples, fmt, out_path):
-    """Uniformly sampled (x, r) table over [-L/2, L/2]."""
+def _profile(shape, rmin, rmax, length, samples, format, out):
     rows = list(sample_profile(make_profile(_TOKEN_TO_KIND[shape], rmin, rmax, length), samples).rows())
-    if fmt == "json":
-        out = _json_doc({"shape": shape, "units": {"x": _U_LENGTH, "r": _U_LENGTH}, "rows": rows})
+    if format == "json":
+        text = _json_doc({"shape": shape, "units": {"x": _U_LENGTH, "r": _U_LENGTH}, "rows": rows})
     else:
         # plain is the bare two-column table, identical to csv
-        out = _csv_table(["x", "r"], rows)
+        text = _csv_table(["x", "r"], rows)
 
-    if out_path == "-":
-        click.echo(out, nl=False)
+    if out == "-":
+        _echo(text)
         return
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(out)
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     except OSError as exc:
-        click.echo(f"error: cannot write {out_path}: {exc}", err=True)
+        _echo(f"error: cannot write {out}: {exc}\n", err=True)
         sys.exit(3)
 
 
-# --- verification sweeps ---------------------------------------------------
-
-
-def _parse_shape_list(shapes: str) -> list[ShapeKind]:
+def _parse_shape_list(shapes: str) -> list:
     if shapes.strip() == "all":
         return list(CORRUGATED)
     kinds = []
     for token in shapes.split(","):
         token = token.strip()
         if token not in _TOKEN_TO_KIND:
-            raise click.UsageError(
-                f"unknown shape {token!r}; valid: {', '.join(_TOKEN_TO_KIND)} or all"
-            )
+            raise UsageError(f"unknown shape {token!r}; valid: {', '.join(_TOKEN_TO_KIND)} or all")
         kinds.append(_TOKEN_TO_KIND[token])
     return kinds
 
@@ -243,26 +224,11 @@ _VERIFY_COLUMNS = (
 )
 
 
-@cli.command("verify")
-@click.option(
-    "--shapes",
-    default="all",
-    show_default=True,
-    help='Comma-separated shape tokens, or "all" for the five corrugated shapes.',
-)
-@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True,
-              help="Random geometries per shape.")
-@click.option("--tol", type=float, default=1e-9, show_default=True,
-              help="Relative discrepancy allowed between closed form and quadrature.")
-@click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True,
-              help="Seed for the randomized sweep.")
-@_format_option
-def cmd_verify(shapes, trials, tol, seed, fmt):
-    """Check the closed forms against adaptive quadrature on random tubes."""
+def _verify(shapes, trials, tol, seed, format):
     from .quadrature import QuadratureConfig, verification_sweep
 
     if not (tol > 0.0) or not math.isfinite(tol):
-        raise click.UsageError(f"--tol must be positive and finite, got {tol!r}")
+        raise UsageError(f"--tol must be positive and finite, got {tol!r}")
     kinds = _parse_shape_list(shapes)
     # The oracle must out-resolve the declared tolerance to judge it; an
     # unmeetable request then surfaces as converged=false, not a false pass.
@@ -277,7 +243,7 @@ def cmd_verify(shapes, trials, tol, seed, fmt):
     n_failed = sum(1 for r in reports if not r.passed)
     names = [name for name, _, _ in _VERIFY_COLUMNS]
 
-    if fmt == "plain":
+    if format == "plain":
         lines = [
             f"[{'PASS' if row[-1] else 'FAIL'}]"
             + "".join(f" {key}={_cell(value)}" for (_, _, key), value in zip(_VERIFY_COLUMNS, row) if key)
@@ -285,7 +251,7 @@ def cmd_verify(shapes, trials, tol, seed, fmt):
         ]
         lines.append(f"result passed={len(reports) - n_failed} failed={n_failed}")
         out = "\n".join(lines) + "\n"
-    elif fmt == "csv":
+    elif format == "csv":
         out = _csv_table(names, rows)
     else:
         out = _json_doc(
@@ -296,190 +262,22 @@ def cmd_verify(shapes, trials, tol, seed, fmt):
                 "failed": n_failed,
             }
         )
-    click.echo(out, nl=False)
+    _echo(out)
     if n_failed:
         sys.exit(1)
 
 
-# --- network files ----------------------------------------------------------
-
-
-_TUBE_KEYS = frozenset(("type", "shape", "rmin", "rmax", "length"))
-_COMPOSITE_KEYS = frozenset(("type", "elements"))
-_FACTORIES = {"series": Series, "parallel": Parallel}
-
-
-def _spec_error(message: str, frame) -> NetworkSpecError:
-    """The error for the node being parsed in a _build_network frame, at its document path.
-
-    That node is the frame's next child, at index len(children); each
-    enclosing frame's node sits at the same index of its own frame.
-    """
-    indices = []
-    while frame[3] is not None:
-        indices.append(len(frame[2]))
-        frame = frame[3]
-    return NetworkSpecError(message, "$" + "".join(f".elements[{i}]" for i in reversed(indices)))
-
-
-class _LongInteger(str):
-    """The digits of an integer literal longer than int() converts; no double is that large."""
-
-    __repr__ = str.__str__
-
-
-def _integer(digits: str):
-    try:
-        return int(digits)
-    except ValueError:
-        return _LongInteger(digits)
-
-
-def _spec_number(node: dict, key: str, frame) -> float:
-    value = node[key]
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    elif type(value) is not _LongInteger:
-        raise _spec_error(f'"{key}" must be a number, got {value!r}', frame)
-    raise _spec_error(f'"{key}" is outside the double range, got {value!r}', frame)
-
-
-def _tube(node: dict, frame) -> Tube:
-    if node.keys() != _TUBE_KEYS:
-        for key in ("shape", "rmin", "rmax", "length"):
-            if key not in node:
-                raise _spec_error(f'tube node missing "{key}"', frame)
-        raise _spec_error(f'unknown key "{min(node.keys() - _TUBE_KEYS)}" in tube node', frame)
-    shape = node["shape"]
-    kind = _TOKEN_TO_KIND.get(shape) if type(shape) is str else None
-    if kind is None:
-        raise _spec_error(f'unknown shape {shape!r}; valid: {", ".join(_TOKEN_TO_KIND)}', frame)
-    rmin, rmax, length = node["rmin"], node["rmax"], node["length"]
-    if not (type(rmin) is type(rmax) is type(length) is float):
-        rmin, rmax, length = [_spec_number(node, key, frame) for key in ("rmin", "rmax", "length")]
-    try:
-        return Tube(RadiusProfile(kind, rmin, rmax, length))
-    except CapillaryFlowError as exc:
-        raise _spec_error(f"{type(exc).__name__}: {exc}", frame) from exc
-
-
-def _build_network(doc) -> NetworkElement:
-    """The element tree of a decoded spec, by one walk with an explicit stack.
-
-    Nodes are checked in document order, each before its children, so the
-    first problem in the document is the one reported.
-    """
-    # A frame is (factory, remaining JSON elements, children built so far,
-    # enclosing frame); the document sits alone in a root frame, which has
-    # no enclosing one.
-    stack = [(None, iter((doc,)), [], None)]
-    while True:
-        frame = stack[-1]
-        build, remaining, children, enclosing = frame
-        for node in remaining:
-            if type(node) is not dict:
-                raise _spec_error(f"expected an object, got {type(node).__name__}", frame)
-            if "type" not in node:
-                raise _spec_error('missing "type"', frame)
-            node_type = node["type"]
-            if node_type == "tube":
-                children.append(_tube(node, frame))
-                continue
-            factory = _FACTORIES.get(node_type) if type(node_type) is str else None
-            if factory is None:
-                raise _spec_error(
-                    f'unknown node type {node_type!r}; expected "tube", "series", or "parallel"',
-                    frame,
-                )
-            if node.keys() != _COMPOSITE_KEYS:
-                unknown = node.keys() - _COMPOSITE_KEYS
-                if unknown:
-                    raise _spec_error(f'unknown key "{min(unknown)}" in {node_type} node', frame)
-                raise _spec_error(f'{node_type} node missing "elements"', frame)
-            elements = node["elements"]
-            if type(elements) is not list:
-                raise _spec_error('"elements" must be an array', frame)
-            stack.append((factory, iter(elements), [], frame))
-            break
-        else:
-            # Every child of this frame is built.
-            stack.pop()
-            if enclosing is None:
-                return children[0]
-            try:
-                element = build(children)
-            except CapillaryFlowError as exc:
-                raise _spec_error(f"{type(exc).__name__}: {exc}", enclosing) from exc
-            enclosing[2].append(element)
-
-
-def parse_network_text(text: str) -> NetworkElement:
-    """Parse a network spec document (JSON) into a NetworkElement tree.
-
-    Raises NetworkSpecError with a document location on any syntax or
-    validation problem.  The tree is built without recursion, so the only
-    depth limit is the JSON decoder's: nesting it cannot follow (about 490
-    series/parallel levels) is reported as "nesting too deep to parse".
-    """
-    try:
-        # An integer literal longer than int() converts stays text, so that
-        # the node holding it reports it as outside the double range.
-        doc = json.loads(text, parse_int=_integer)
-    except json.JSONDecodeError as exc:
-        raise NetworkSpecError(
-            f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
-        ) from exc
-    except RecursionError as exc:
-        raise NetworkSpecError("nesting too deep to parse", "$") from exc
-    return _build_network(doc)
-
-
-def _read_spec(path: str) -> str:
-    """The file's text, newlines translated as a text-mode read translates them.
-
-    Invalid UTF-8 is a NetworkSpecError at the line and column of the first
-    bad byte.  CR and LF bytes occur in UTF-8 only as themselves, so the
-    translation can run before decoding.
-    """
-    with open(path, "rb") as handle:
-        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start].decode("utf-8")
-        line = head.count("\n") + 1
-        column = len(head) - head.rfind("\n")
-        raise NetworkSpecError(f"invalid UTF-8: {exc.reason}", f"line {line} column {column}") from exc
-
-
-@cli.command("network")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--viscosity", type=float, required=True, help="Dynamic viscosity [Pa*s].")
-@click.option("--flow", type=float, default=None, help="Volumetric flow rate Q [m^3/s].")
-@click.option("--pressure", type=float, default=None, help="Pressure drop P [Pa].")
-@_format_option
-def cmd_network(file, viscosity, flow, pressure, fmt):
-    """Total resistance of a network file, plus P (given Q) or Q (given P).
-
-    FILE is a JSON document of nested nodes: {"type": "tube", "shape": ...,
-    "rmin": ..., "rmax": ..., "length": ...} at the leaves and
-    {"type": "series"|"parallel", "elements": [...]} above them.
-    """
+def _network(file, viscosity, flow, pressure, format):
     if (flow is None) == (pressure is None):
-        raise click.UsageError("exactly one of --flow or --pressure is required")
+        raise UsageError("exactly one of --flow or --pressure is required")
     fluid = Fluid(viscosity)
     try:
         element = parse_network_text(_read_spec(file))
     except OSError as exc:
-        click.echo(f"error: cannot read {file}: {exc}", err=True)
+        _echo(f"error: cannot read {file}: {exc}\n", err=True)
         sys.exit(3)
     except NetworkSpecError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
     res = network_resistance(element, fluid)
     if flow is not None:
@@ -494,7 +292,320 @@ def cmd_network(file, viscosity, flow, pressure, fmt):
         (given[1], value, given[2]),
         (answer[1], relation(value), answer[2]),
     ]
-    _emit_record(fmt, fields, plain=("resistance", "geometric_factor", answer[1]), csv_start=1)
+    _emit_record(format, fields, plain=("resistance", "geometric_factor", answer[1]), csv_start=1)
+
+
+# --- the command table ------------------------------------------------------
+#
+# An option is (flag, type, default, help).  The type is "FLOAT", "INTEGER"
+# or "TEXT", an int m for an integer of at least m, or a tuple of choices.
+# The default is _REQUIRED for a required option; any other default but
+# None is shown in the help.  A command is (run, help, positional argument
+# or None, options); its help's paragraphs are separated by blank lines.
+
+_REQUIRED = object()
+_ARGUMENT = "FILE"  # the one positional argument: network's spec file, which must exist
+
+_GEOMETRY = (
+    ("--shape", tuple(_TOKEN_TO_KIND), _REQUIRED, "Radius profile."),
+    ("--rmin", "FLOAT", _REQUIRED, "Waist radius r_min [m]."),
+    ("--rmax", "FLOAT", _REQUIRED, "End radius r_max [m]."),
+    ("--length", "FLOAT", _REQUIRED, "Tube length L [m]."),
+)
+_VISCOSITY = ("--viscosity", "FLOAT", _REQUIRED, "Dynamic viscosity [Pa*s].")
+_FORMAT = ("--format", ("plain", "csv", "json"), "plain", "Output format.")
+
+_COMMANDS = {
+    "pdrop": (_pdrop, "Pressure drop across one tube at flow rate Q.", None, (
+        *_GEOMETRY,
+        _VISCOSITY,
+        ("--flow", "FLOAT", _REQUIRED, "Volumetric flow rate Q [m^3/s]."),
+        _FORMAT,
+    )),
+    "qflow": (_qflow, "Flow rate through one tube at pressure drop P.", None, (
+        *_GEOMETRY,
+        _VISCOSITY,
+        ("--pressure", "FLOAT", _REQUIRED, "Pressure drop P [Pa]."),
+        _FORMAT,
+    )),
+    "profile": (_profile, "Uniformly sampled (x, r) table over [-L/2, L/2].", None, (
+        *_GEOMETRY,
+        ("--samples", "INTEGER", _REQUIRED, "Number of rows (>= 2)."),
+        _FORMAT,
+        ("--out", "TEXT", "-", "Output file path, or - for stdout."),
+    )),
+    "verify": (_verify, "Check the closed forms against adaptive quadrature on random tubes.", None, (
+        ("--shapes", "TEXT", "all", 'Comma-separated shape tokens, or "all" for the five corrugated shapes.'),
+        ("--trials", 1, 100, "Random geometries per shape."),
+        ("--tol", "FLOAT", 1e-9, "Relative discrepancy allowed between closed form and quadrature."),
+        ("--seed", 0, 42, "Seed for the randomized sweep."),
+        _FORMAT,
+    )),
+    "network": (_network, (
+        "Total resistance of a network file, plus P (given Q) or Q (given P).\n\n"
+        'FILE is a JSON document of nested nodes: {"type": "tube", "shape": ..., "rmin": ..., '
+        '"rmax": ..., "length": ...} at the leaves and {"type": "series"|"parallel", '
+        '"elements": [...]} above them.'
+    ), _ARGUMENT, (
+        _VISCOSITY,
+        ("--flow", "FLOAT", None, "Volumetric flow rate Q [m^3/s]."),
+        ("--pressure", "FLOAT", None, "Pressure drop P [Pa]."),
+        _FORMAT,
+    )),
+}
+
+_GROUP_HELP = "Laminar-flow relations for converging-diverging capillaries."
+_GROUP_USAGE = "[OPTIONS] COMMAND [ARGS]..."
+_HELP = ("--help", "Show this message and exit.")
+
+
+# --- parsing ----------------------------------------------------------------
+
+
+class _Invalid(Exception):
+    """A value its option's type rejects."""
+
+
+def _convert(kind, raw: str):
+    if type(kind) is tuple:
+        if raw in kind:
+            return raw
+        raise _Invalid(f"{raw!r} is not one of {', '.join(map(repr, kind))}.")
+    if kind == "TEXT":
+        return raw
+    if kind == "FLOAT":
+        number, name = float, "float"
+    else:
+        number, name = int, "integer" if kind == "INTEGER" else "integer range"
+    try:
+        value = number(raw)
+    except ValueError:
+        raise _Invalid(f"{raw!r} is not a valid {name}.") from None
+    if type(kind) is int and value < kind:
+        raise _Invalid(f"{value} is not in the range x>={kind}.")
+    return value
+
+
+def _existing_file(path: str) -> str:
+    # The name as shown: undecodable bytes of the command line become U+FFFD.
+    shown = path.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        raise _Invalid(f"File {shown!r} does not exist.") from None
+    if stat.S_ISDIR(mode):
+        raise _Invalid(f"File {shown!r} is a directory.")
+    if not os.access(path, os.R_OK):
+        raise _Invalid(f"File {shown!r} is not readable.")
+    return path
+
+
+def _scan(args: list[str], flags, interspersed: bool, usage) -> tuple[dict, list[str], list[str]]:
+    """One left-to-right pass over the options: ({flag: last value}, flags in order seen, the rest).
+
+    ``flags`` holds the flags that take a value and "--help", which takes
+    none.  "--" ends the options; with ``interspersed`` false, so does the
+    first token that is no option.
+    """
+    values, order, positional = {}, [], []
+    rargs = list(args)
+    while rargs:
+        arg = rargs.pop(0)
+        if arg == "--":
+            break
+        if arg[:1] != "-" or len(arg) == 1:
+            if not interspersed:
+                rargs.insert(0, arg)
+                break
+            positional.append(arg)
+            continue
+        name, eq, explicit = arg.partition("=")
+        if name not in flags:
+            if arg[:2] != "--":
+                raise UsageError(f"No such option {arg[:2]!r}.", usage)
+            raise UsageError(_no_such("option", name, flags), usage)
+        if name == "--help":
+            if eq:
+                raise UsageError("Option '--help' does not take a value.")
+            values[name] = True
+        else:
+            if eq:
+                rargs.insert(0, explicit)
+            if not rargs:
+                raise UsageError(f"Option {name!r} requires an argument.")
+            values[name] = rargs.pop(0)
+        order.append(name)
+    return values, order, positional + rargs
+
+
+def _no_such(what: str, name: str, candidates) -> str:
+    from difflib import get_close_matches
+
+    matches = sorted(get_close_matches(name, candidates))
+    shown = ", ".join(map(repr, matches))
+    if not matches:
+        return f"No such {what} {name!r}."
+    if len(matches) == 1:
+        return f"No such {what} {name!r}. Did you mean {shown}?"
+    return f"No such {what} {name!r}. (Did you mean one of: {shown}?)"
+
+
+def _run(args: list[str], prog: str):
+    """Dispatch one command line; 0 after a help page, None after a command."""
+    group = (prog, _GROUP_USAGE)
+    if not args:
+        from ._help import group_page
+
+        raise _NoArguments(group_page(prog))
+    values, _, rest = _scan(args, ("--help",), False, group)
+    name = rest[0] if rest else ""
+    if not values and name not in _COMMANDS and name[:1] and not name[:1].isalnum():
+        # click parses an option-like unknown command again as the group's options: "-- --help" shows help.
+        values = _scan(rest, ("--help",), False, group)[0]
+    if values:
+        from ._help import group_page
+
+        _echo(group_page(prog) + "\n")
+        return 0
+    if not rest:
+        raise UsageError("Missing command.", group)
+    if name not in _COMMANDS:
+        raise UsageError(_no_such("command", name, _COMMANDS), group)
+
+    run, _, argument, options = _COMMANDS[name]
+    path = f"{prog} {name}".lstrip()
+    usage = (path, "[OPTIONS] FILE" if argument else "[OPTIONS]")
+    flags = [flag for flag, *_ in options]
+    values, order, rest = _scan(rest[1:], [*flags, "--help"], True, usage)
+    declared = [*options, _HELP]
+    if argument:
+        values[argument] = rest.pop(0) if rest else None
+        order.append(argument)
+        declared.insert(0, (argument,))
+    first_seen = {}
+    for flag in order:
+        first_seen.setdefault(flag, len(first_seen))
+    # click's processing order: --help first, then what the command line names, then the rest.
+    declared.sort(key=lambda param: (param[0] != "--help", first_seen.get(param[0], math.inf)))
+
+    params = {}
+    for flag, *spec in declared:
+        raw = values.get(flag)
+        if flag == "--help":
+            if raw:
+                from ._help import command_page
+
+                _echo(command_page(name, *usage) + "\n")
+                return 0
+        elif flag == argument:
+            if raw is None:
+                raise UsageError(f"Missing argument '{argument}'.", usage)
+            try:
+                params[argument.lower()] = _existing_file(raw)
+            except _Invalid as exc:
+                raise UsageError(f"Invalid value for '{argument}': {exc}", usage) from None
+        elif raw is not None:
+            try:
+                params[flag[2:]] = _convert(spec[0], raw)
+            except _Invalid as exc:
+                raise UsageError(f"Invalid value for '{flag}': {exc}", usage) from None
+        elif spec[1] is _REQUIRED:
+            message = f"Missing option '{flag}'."
+            if type(spec[0]) is tuple:
+                message += " Choose from:\n\t" + ",\n\t".join(spec[0])
+            raise UsageError(message, usage)
+        else:
+            params[flag[2:]] = spec[1]
+    if rest:
+        plural = "s" if len(rest) > 1 else ""
+        raise UsageError(f"Got unexpected extra argument{plural} ({' '.join(rest)})", usage)
+
+    try:
+        run(**params)
+    except UsageError as exc:
+        exc.usage = usage
+        raise
+    except CapillaryFlowError as exc:
+        raise UsageError(f"{type(exc).__name__}: {exc}", usage) from exc
+    except MemoryError as exc:
+        # Python's own, which a large table can still reach below MAX_SAMPLES; exit 1
+        # means a failed verification.
+        _echo(f"error: out of memory{f': {exc}' if str(exc) else ''}\n", err=True)
+        sys.exit(2)
+    return None
+
+
+# --- entry points -------------------------------------------------------------
+
+
+class _QuietFlush:
+    """A stream whose flush ignores a closed pipe, for the interpreter's last flush."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except OSError as exc:
+            if exc.errno != errno.EPIPE:
+                raise
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
+def _program_name() -> str:
+    """The name the program was run by: the script's file name, or "python -m package"."""
+    path = sys.argv[0]
+    package = getattr(sys.modules["__main__"], "__package__", None)
+    if not package:
+        return os.path.basename(path)
+    name = os.path.splitext(os.path.basename(path))[0]
+    if name != "__main__":
+        package = f"{package}.{name}"
+    return f"python -m {package.lstrip('.')}"
+
+
+class _Cli:
+    """The capflow command group."""
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
+        """Run one command line (default ``sys.argv[1:]``).
+
+        In standalone mode a usage error is shown and every outcome ends in
+        SystemExit; otherwise a usage error propagates, and a help page
+        returns 0 and a command None.
+        """
+        args = sys.argv[1:] if args is None else list(args)
+        prog = _program_name() if prog_name is None else prog_name
+        try:
+            rv = _run(args, prog)
+        except (EOFError, KeyboardInterrupt):
+            _echo("\n", err=True)
+            if not standalone_mode:
+                raise
+            _echo("Aborted!\n", err=True)
+            sys.exit(1)
+        except UsageError as exc:
+            if not standalone_mode:
+                raise
+            exc.show()
+            sys.exit(2)
+        except OSError as exc:
+            if exc.errno != errno.EPIPE:
+                raise
+            sys.stdout = _QuietFlush(sys.stdout)
+            sys.stderr = _QuietFlush(sys.stderr)
+            sys.exit(1)
+        if not standalone_mode:
+            return rv
+        sys.exit(0)
+
+    __call__ = main
+
+
+cli = _Cli()
 
 
 def main():

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from ._record import _Record, _set
 from .errors import (
+    CapillaryFlowError,
     GeometryRangeError,
     NonPositiveLengthError,
     NonPositiveRadiusError,
@@ -94,8 +95,7 @@ CORRUGATED = (
 )
 
 
-@dataclass(frozen=True)
-class RadiusProfile:
+class RadiusProfile(_Record):
     """A tube geometry: shape plus (r_min, r_max, length), all in metres.
 
     For ``ShapeKind.STRAIGHT`` the two radii must be equal.  ``r_min ==
@@ -103,38 +103,39 @@ class RadiusProfile:
     constant radius.
     """
 
-    kind: ShapeKind
-    r_min: float
-    r_max: float
-    length: float
+    __slots__ = ("kind", "r_min", "r_max", "length")
 
-    def __post_init__(self):
-        if not (self.r_min > 0.0) or not math.isfinite(self.r_min):
-            raise NonPositiveRadiusError(
-                f"r_min must be a positive finite length, got {self.r_min!r}"
-            )
-        if not math.isfinite(self.r_max):
-            raise NonPositiveRadiusError(
-                f"r_max must be a positive finite length, got {self.r_max!r}"
-            )
-        if self.r_max < self.r_min:
-            raise RadiusOrderError(
-                f"r_max must not be smaller than r_min "
-                f"(got r_max={self.r_max!r} < r_min={self.r_min!r})"
-            )
-        if not (self.length > 0.0) or not math.isfinite(self.length):
-            raise NonPositiveLengthError(
-                f"length must be a positive finite length, got {self.length!r}"
-            )
-        if self.kind is ShapeKind.STRAIGHT and self.r_max != self.r_min:
-            raise StraightRadiusMismatchError(
-                f"a straight tube needs r_min == r_max "
-                f"(got {self.r_min!r} and {self.r_max!r})"
-            )
+    def __init__(self, kind: ShapeKind, r_min: float, r_max: float, length: float):
+        # One chained comparison accepts every valid geometry; NaN fails it too.
+        if not (0.0 < r_min <= r_max < math.inf and 0.0 < length < math.inf) or (
+            kind is ShapeKind.STRAIGHT and r_max != r_min
+        ):
+            raise _invalid_geometry(kind, r_min, r_max, length)
+        _set(self, "kind", kind)
+        _set(self, "r_min", r_min)
+        _set(self, "r_max", r_max)
+        _set(self, "length", length)
 
     @property
     def half_length(self) -> float:
         return 0.5 * self.length
+
+
+def _invalid_geometry(kind, r_min, r_max, length) -> CapillaryFlowError:
+    """The error for a geometry that RadiusProfile rejects, by the first rule it breaks."""
+    if not (r_min > 0.0) or not math.isfinite(r_min):
+        return NonPositiveRadiusError(f"r_min must be a positive finite length, got {r_min!r}")
+    if not math.isfinite(r_max):
+        return NonPositiveRadiusError(f"r_max must be a positive finite length, got {r_max!r}")
+    if r_max < r_min:
+        return RadiusOrderError(
+            f"r_max must not be smaller than r_min (got r_max={r_max!r} < r_min={r_min!r})"
+        )
+    if not (length > 0.0) or not math.isfinite(length):
+        return NonPositiveLengthError(f"length must be a positive finite length, got {length!r}")
+    return StraightRadiusMismatchError(
+        f"a straight tube needs r_min == r_max (got {r_min!r} and {r_max!r})"
+    )
 
 
 def make_profile(kind: ShapeKind, r_min: float, r_max: float, length: float) -> RadiusProfile:
@@ -273,8 +274,8 @@ def _range_error(profile: RadiusProfile, problem: str) -> GeometryRangeError:
     )
 
 
-def _sampler(profile: RadiusProfile) -> Callable[[float], float]:
-    """x -> r(x) = r_min rho(2|x|/L; d) for positions x in [-L/2, L/2].
+def _radii(profile: RadiusProfile, xs: Iterable[float]) -> list[float]:
+    """r(x) = r_min rho(2|x|/L; d) at each position x in [-L/2, L/2], in one loop.
 
     Each radius is a finite double in [r_min, r_max]: r_max itself where t
     reaches 1, and elsewhere rho's drift past its bounds clamped off,
@@ -287,20 +288,24 @@ def _sampler(profile: RadiusProfile) -> Callable[[float], float]:
     shape, d = _dimensionless(profile)
     rho = shape.rho(d)
     r_min, r_max, length = profile.r_min, profile.r_max, profile.length
-
-    def radius(x: float) -> float:
-        t = 2.0 * abs(x) / length
-        if t >= 1.0:
-            return r_max
-        try:
+    radii = []
+    append = radii.append
+    try:
+        for x in xs:
+            t = 2.0 * abs(x) / length
+            if t >= 1.0:
+                append(r_max)
+                continue
             value = rho(t)
-        except OverflowError:
-            value = math.inf
-        if not value < math.inf:
-            raise _range_error(profile, "the values of r(x) are not finite doubles")
-        return min(max(r_min * value, r_min), r_max)
-
-    return radius
+            if not value < math.inf:
+                break
+            r = r_min * value
+            append(r_min if r < r_min else r_max if r > r_max else r)
+        else:
+            return radii
+    except OverflowError:
+        pass
+    raise _range_error(profile, "the values of r(x) are not finite doubles")
 
 
 def _position(profile: RadiusProfile, x) -> float:
@@ -325,8 +330,7 @@ def radius_at(profile: RadiusProfile, x: float) -> float:
     raises OutOfDomainError.  Raises GeometryRangeError when r(x) cannot be
     evaluated in double precision.
     """
-    x = _position(profile, x)
-    return _sampler(profile)(x)
+    return _radii(profile, (_position(profile, x),))[0]
 
 
 def radius_array(profile: RadiusProfile, xs: Iterable[float]) -> list[float]:
@@ -335,15 +339,17 @@ def radius_array(profile: RadiusProfile, xs: Iterable[float]) -> list[float]:
     Every position is checked before any radius is computed.
     """
     positions = [_position(profile, x) for x in xs]
-    return list(map(_sampler(profile), positions))
+    return _radii(profile, positions)
 
 
-@dataclass(frozen=True)
-class ProfileTable:
+class ProfileTable(_Record):
     """Uniformly spaced (x, r) samples spanning [-L/2, L/2] inclusive."""
 
-    x: tuple[float, ...]
-    r: tuple[float, ...]
+    __slots__ = ("x", "r")
+
+    def __init__(self, x: tuple[float, ...], r: tuple[float, ...]):
+        _set(self, "x", x)
+        _set(self, "r", r)
 
     def __len__(self) -> int:
         return len(self.x)
@@ -383,4 +389,4 @@ def sample_profile(profile: RadiusProfile, n_samples: int) -> ProfileTable:
     if n_samples > MAX_SAMPLES:
         raise TooManySamplesError(f"need at most {MAX_SAMPLES} samples, got {n_samples}")
     xs = tuple(_grid(profile.half_length, int(n_samples)))
-    return ProfileTable(x=xs, r=tuple(map(_sampler(profile), xs)))
+    return ProfileTable(x=xs, r=tuple(_radii(profile, xs)))

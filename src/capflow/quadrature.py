@@ -32,10 +32,10 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._pcg64 import Generator
+from ._record import _Record, _set
 from .analytic import Fluid, _integral, _pressure_drop_of, pressure_drop
 from .errors import NotConvergedError, QuadratureInputError
 from .geometry import RadiusProfile, ShapeKind, _dimensionless, make_profile
@@ -102,8 +102,7 @@ _ROUNDING_FLOOR = 4.0 * sys.float_info.epsilon
 _MAX_PANELS = 100_000
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(_Record):
     """Tolerances and limits for adaptive integration.
 
     ``rel_tol`` is relative to the running integral estimate; ``abs_tol``
@@ -111,24 +110,24 @@ class QuadratureConfig:
     ``max_depth`` bounds the bisection depth of any panel.
     """
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 0.0
-    max_depth: int = 48
+    __slots__ = ("rel_tol", "abs_tol", "max_depth")
 
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0) or not math.isfinite(self.rel_tol):
-            raise QuadratureInputError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
-        if self.abs_tol < 0.0 or not math.isfinite(self.abs_tol):
-            raise QuadratureInputError(f"abs_tol must be >= 0 and finite, got {self.abs_tol!r}")
-        if self.max_depth < 1:
-            raise QuadratureInputError(f"max_depth must be >= 1, got {self.max_depth!r}")
+    def __init__(self, rel_tol: float = 1e-10, abs_tol: float = 0.0, max_depth: int = 48):
+        if not (rel_tol > 0.0) or not math.isfinite(rel_tol):
+            raise QuadratureInputError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+        if abs_tol < 0.0 or not math.isfinite(abs_tol):
+            raise QuadratureInputError(f"abs_tol must be >= 0 and finite, got {abs_tol!r}")
+        if max_depth < 1:
+            raise QuadratureInputError(f"max_depth must be >= 1, got {max_depth!r}")
+        _set(self, "rel_tol", rel_tol)
+        _set(self, "abs_tol", abs_tol)
+        _set(self, "max_depth", max_depth)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(_Record):
     """Outcome of one adaptive integration.
 
     ``value`` carries the integral, ``error_estimate`` an upper-leaning
@@ -141,10 +140,13 @@ class QuadratureResult:
     integrand gave inf or NaN).
     """
 
-    value: float
-    error_estimate: float
-    evaluations: int
-    stop_reason: str
+    __slots__ = ("value", "error_estimate", "evaluations", "stop_reason")
+
+    def __init__(self, value: float, error_estimate: float, evaluations: int, stop_reason: str):
+        _set(self, "value", value)
+        _set(self, "error_estimate", error_estimate)
+        _set(self, "evaluations", evaluations)
+        _set(self, "stop_reason", stop_reason)
 
     @property
     def converged(self) -> bool:
@@ -152,8 +154,7 @@ class QuadratureResult:
         return self.stop_reason == "converged"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Closed form vs quadrature for one profile, at reference Q=1, mu=1.
 
     ``oracle_error_estimate`` is the quadrature error estimate on the
@@ -162,14 +163,36 @@ class VerificationReport:
     ``relative_discrepancy <= max(tolerance, error_estimate/value)``.
     """
 
-    profile: RadiusProfile
-    analytic_pressure_drop: float
-    numeric_pressure_drop: float
-    relative_discrepancy: float
-    oracle_error_estimate: float
-    converged: bool
-    passed: bool
-    evaluations: int
+    __slots__ = (
+        "profile",
+        "analytic_pressure_drop",
+        "numeric_pressure_drop",
+        "relative_discrepancy",
+        "oracle_error_estimate",
+        "converged",
+        "passed",
+        "evaluations",
+    )
+
+    def __init__(
+        self,
+        profile: RadiusProfile,
+        analytic_pressure_drop: float,
+        numeric_pressure_drop: float,
+        relative_discrepancy: float,
+        oracle_error_estimate: float,
+        converged: bool,
+        passed: bool,
+        evaluations: int,
+    ):
+        _set(self, "profile", profile)
+        _set(self, "analytic_pressure_drop", analytic_pressure_drop)
+        _set(self, "numeric_pressure_drop", numeric_pressure_drop)
+        _set(self, "relative_discrepancy", relative_discrepancy)
+        _set(self, "oracle_error_estimate", oracle_error_estimate)
+        _set(self, "converged", converged)
+        _set(self, "passed", passed)
+        _set(self, "evaluations", evaluations)
 
 
 def _panel(fn, a: float, b: float) -> tuple[float, float]:

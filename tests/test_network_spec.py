@@ -13,7 +13,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from capflow import NetworkSpecError, Parallel, Series, ShapeKind, Tube, make_profile
-from capflow.cli import parse_network_text
+from capflow.network import parse_network_text
 
 TUBE = {"type": "tube", "shape": "conical", "rmin": 1e-3, "rmax": 2e-3, "length": 0.1}
 

@@ -1,5 +1,7 @@
 """Start-up contract: capflow never loads numpy, and loads the quadrature
-module only when a quadrature name is used.
+module only when a quadrature name is used.  Neither ``import capflow`` nor
+any command loads click, dataclasses or inspect, unless a bare interpreter
+in the same environment already does.
 
 Each check runs in a fresh interpreter, because numpy stays in
 ``sys.modules`` once anything in the test process has imported it.
@@ -233,3 +235,52 @@ def test_unknown_attribute_raises_attribute_error():
         print(hasattr(capflow, "quadrature_config"), "numpy" in sys.modules)
     """)
     assert out == "module 'capflow' has no attribute 'no_such_name'\nFalse False\n"
+
+
+# Modules that a capflow process must not load itself.
+UNWANTED = ("click", "dataclasses", "inspect")
+
+
+@pytest.fixture(scope="module")
+def preloaded():
+    """Those of UNWANTED that a bare interpreter here loads already (a site .pth file can)."""
+    return run_python(f"import sys; print(sorted(m for m in {UNWANTED!r} if m in sys.modules))")
+
+
+def test_import_loads_no_click_dataclasses_or_inspect(preloaded):
+    out = run_python(f"""
+        import sys
+        import capflow
+        print(sorted(m for m in {UNWANTED!r} if m in sys.modules))
+    """)
+    assert out == preloaded
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("command", ["pdrop", "qflow", "network", "profile", "verify"])
+def test_command_loads_no_click_dataclasses_or_inspect(command, fmt, preloaded, tmp_path):
+    tube = {"type": "tube", "shape": "cosh", "rmin": 1e-3, "rmax": 2e-3, "length": 0.1}
+    spec = tmp_path / "net.json"
+    spec.write_text(json.dumps({"type": "series", "elements": [tube, tube]}), encoding="utf-8")
+    argv = {
+        "pdrop": ["pdrop", *TUBE, "--viscosity", "1e-3", "--flow", "1e-9"],
+        "qflow": ["qflow", *TUBE, "--viscosity", "1e-3", "--pressure", "0.07"],
+        "network": ["network", str(spec), "--viscosity", "1e-3", "--flow", "1e-9"],
+        "profile": ["profile", *TUBE, "--samples", "5"],
+        "verify": ["verify", "--trials", "2"],
+    }[command]
+    # The console script's path: main() reads sys.argv and ends in SystemExit.
+    out = run_python(f"""
+        import contextlib, io, sys
+        sys.argv = ["capflow", *{argv!r}, "--format", {fmt!r}]
+        import capflow.cli
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            try:
+                capflow.cli.main()
+            except SystemExit as exc:
+                assert exc.code == 0, exc.code
+        assert stdout.getvalue()
+        print(sorted(m for m in {UNWANTED!r} if m in sys.modules))
+    """)
+    assert out == preloaded
