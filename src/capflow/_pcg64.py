@@ -4,10 +4,11 @@
 ``numpy.random.default_rng(entropy).random(n).tolist()`` bit for bit, for
 an entropy that is a sequence of non-negative ints: the entropy is
 hashed into a 128-bit state and increment as numpy's ``SeedSequence``
-does, the state advances by PCG's 128-bit LCG step, and each output is
-the XSL-RR permutation of the advanced state (O'Neill 2014), whose top 53
-bits scale into [0, 1).  The sweep needs three uniforms per trial, which
-do not pay for importing numpy.
+does, with its mixing constants generated at each seeding, as many as
+the entropy needs; the state advances by PCG's 128-bit LCG step, and
+each output is the XSL-RR permutation of the advanced state (O'Neill
+2014), whose top 53 bits scale into [0, 1).  The sweep needs three
+uniforms per trial, which do not pay for importing numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ _MASK53 = 2**53 - 1
 _SCALE = 2.0**-53
 
 # SeedSequence's pool holds 4 words.  Its hash constants run through fixed
-# sequences, whatever the entropy, so each step's pair is computed once here.
+# sequences, whatever the entropy; the 8 pairs of the output step are
+# computed once here.
 
 
 def _constants(start: int, multiplier: int, count: int) -> list[tuple[int, int]]:
@@ -38,8 +40,6 @@ def _constants(start: int, multiplier: int, count: int) -> list[tuple[int, int]]
 
 
 _MIX_START, _MIX_MULTIPLIER = 0x43B0D7E5, 0x931E8875
-# Enough for an entropy of up to 7 words: a seed below 2**192 and its stream index.
-_MIX_CONSTANTS = _constants(_MIX_START, _MIX_MULTIPLIER, 28)
 _STATE_CONSTANTS = _constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
@@ -60,11 +60,7 @@ def _mix(x: int, y: int) -> int:
 
 def _seed(entropy: list[int]) -> tuple[int, int]:
     """SeedSequence(entropy).generate_state(4, uint64) as PCG64's (state, increment)."""
-    count = 16 + 4 * max(0, len(entropy) - 4)
-    if count > len(_MIX_CONSTANTS):
-        hashes = iter(_constants(_MIX_START, _MIX_MULTIPLIER, count))
-    else:
-        hashes = iter(_MIX_CONSTANTS)
+    hashes = iter(_constants(_MIX_START, _MIX_MULTIPLIER, 16 + 4 * max(0, len(entropy) - 4)))
 
     def hashmix(value: int) -> int:
         first, second = next(hashes)

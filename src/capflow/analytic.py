@@ -28,7 +28,7 @@ from .errors import (
     GeometryRangeError,
     NonPositiveViscosityError,
 )
-from .geometry import RadiusProfile, ShapeKind, _dimensionless, make_profile
+from .geometry import RadiusProfile, ShapeKind, _dimensionless, _range_error, make_profile
 
 __all__ = [
     "Fluid",
@@ -102,11 +102,7 @@ def _integral(profile: RadiusProfile, f: float, source: str = "") -> float:
         value = math.inf
     # One comparison: false for 0, inf and nan alike.
     if source and not 0.0 < value < math.inf:
-        raise GeometryRangeError(
-            f"{source} I = integral dx/r^4 is not a positive finite double "
-            f"for {profile.kind.value} tube r_min={profile.r_min!r}, "
-            f"r_max={profile.r_max!r}, length={profile.length!r}"
-        )
+        raise _range_error(profile, f"{source} I = integral dx/r^4 is not a positive finite double")
     return value
 
 

@@ -23,10 +23,12 @@ One table-driven parser on the standard library reads the command line.
 for byte as click 8.4 wrote them for the same declarations: ``--opt value``
 and ``--opt=value``, the last repeat of an option wins, and errors come in
 click's order (parameters in command-line order, then in declaration
-order).  ``cli.main`` runs one command line as click's ``Group.main`` did:
-it writes through ``sys.stdout``/``sys.stderr`` as they are at call time,
-and in standalone mode it ends in SystemExit.  ``difflib``, ``textwrap``
-and ``shutil`` load only on the help and error paths.
+order).  ``main`` runs one command line as click's ``Group.main`` did, with
+its three arguments: it writes through ``sys.stdout``/``sys.stderr`` as
+they are at call time, and in standalone mode it ends in SystemExit.  The
+console script calls it bare; ``cli`` holds it as ``cli.main`` for
+click's test runner.  ``difflib``, ``textwrap`` and ``shutil`` load only
+on the help and error paths.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import math
 import os
 import stat
 import sys
+from types import SimpleNamespace
 
 from .analytic import Fluid, flow_rate, pressure_drop
 from .errors import CapillaryFlowError, NetworkSpecError
@@ -304,7 +307,8 @@ def _network(file, viscosity, flow, pressure, format):
 # or None, options); its help's paragraphs are separated by blank lines.
 
 _REQUIRED = object()
-_ARGUMENT = "FILE"  # the one positional argument: network's spec file, which must exist
+# The one positional argument, (name, type, default): network's spec file, which must exist.
+_ARGUMENT = ("FILE", "FILE", _REQUIRED)
 
 _GEOMETRY = (
     ("--shape", tuple(_TOKEN_TO_KIND), _REQUIRED, "Radius profile."),
@@ -373,6 +377,18 @@ def _convert(kind, raw: str):
         raise _Invalid(f"{raw!r} is not one of {', '.join(map(repr, kind))}.")
     if kind == "TEXT":
         return raw
+    if kind == "FILE":
+        # The name as shown: undecodable bytes of the command line become U+FFFD.
+        shown = raw.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+        try:
+            mode = os.stat(raw).st_mode
+        except OSError:
+            raise _Invalid(f"File {shown!r} does not exist.") from None
+        if stat.S_ISDIR(mode):
+            raise _Invalid(f"File {shown!r} is a directory.")
+        if not os.access(raw, os.R_OK):
+            raise _Invalid(f"File {shown!r} is not readable.")
+        return raw
     if kind == "FLOAT":
         number, name = float, "float"
     else:
@@ -386,28 +402,15 @@ def _convert(kind, raw: str):
     return value
 
 
-def _existing_file(path: str) -> str:
-    # The name as shown: undecodable bytes of the command line become U+FFFD.
-    shown = path.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
-    try:
-        mode = os.stat(path).st_mode
-    except OSError:
-        raise _Invalid(f"File {shown!r} does not exist.") from None
-    if stat.S_ISDIR(mode):
-        raise _Invalid(f"File {shown!r} is a directory.")
-    if not os.access(path, os.R_OK):
-        raise _Invalid(f"File {shown!r} is not readable.")
-    return path
+def _scan(args: list[str], flags, interspersed: bool, usage) -> tuple[dict, list[str]]:
+    """One left-to-right pass over the options: ({flag: last value}, the rest).
 
-
-def _scan(args: list[str], flags, interspersed: bool, usage) -> tuple[dict, list[str], list[str]]:
-    """One left-to-right pass over the options: ({flag: last value}, flags in order seen, the rest).
-
-    ``flags`` holds the flags that take a value and "--help", which takes
-    none.  "--" ends the options; with ``interspersed`` false, so does the
-    first token that is no option.
+    The dict lists each flag where it was first seen; a repeat only
+    replaces its value.  ``flags`` holds the flags that take a value and
+    "--help", which takes none.  "--" ends the options; with
+    ``interspersed`` false, so does the first token that is no option.
     """
-    values, order, positional = {}, [], []
+    values, positional = {}, []
     rargs = list(args)
     while rargs:
         arg = rargs.pop(0)
@@ -434,8 +437,7 @@ def _scan(args: list[str], flags, interspersed: bool, usage) -> tuple[dict, list
             if not rargs:
                 raise UsageError(f"Option {name!r} requires an argument.")
             values[name] = rargs.pop(0)
-        order.append(name)
-    return values, order, positional + rargs
+    return values, positional + rargs
 
 
 def _no_such(what: str, name: str, candidates) -> str:
@@ -457,7 +459,7 @@ def _run(args: list[str], prog: str):
         from ._help import group_page
 
         raise _NoArguments(group_page(prog))
-    values, _, rest = _scan(args, ("--help",), False, group)
+    values, rest = _scan(args, ("--help",), False, group)
     name = rest[0] if rest else ""
     if not values and name not in _COMMANDS and name[:1] and not name[:1].isalnum():
         # click parses an option-like unknown command again as the group's options: "-- --help" shows help.
@@ -475,47 +477,35 @@ def _run(args: list[str], prog: str):
     run, _, argument, options = _COMMANDS[name]
     path = f"{prog} {name}".lstrip()
     usage = (path, "[OPTIONS] FILE" if argument else "[OPTIONS]")
-    flags = [flag for flag, *_ in options]
-    values, order, rest = _scan(rest[1:], [*flags, "--help"], True, usage)
-    declared = [*options, _HELP]
+    values, rest = _scan(rest[1:], [*(flag for flag, *_ in options), "--help"], True, usage)
+    if "--help" in values:
+        from ._help import command_page
+
+        _echo(command_page(name, *usage) + "\n")
+        return 0
     if argument:
-        values[argument] = rest.pop(0) if rest else None
-        order.append(argument)
-        declared.insert(0, (argument,))
-    first_seen = {}
-    for flag in order:
-        first_seen.setdefault(flag, len(first_seen))
-    # click's processing order: --help first, then what the command line names, then the rest.
-    declared.sort(key=lambda param: (param[0] != "--help", first_seen.get(param[0], math.inf)))
+        values[argument[0]] = rest.pop(0) if rest else None
+        options = (argument, *options)
+    specs = {flag: (kind, default) for flag, kind, default, *_ in options}
 
     params = {}
-    for flag, *spec in declared:
+    # click's processing order: what the command line names, then the rest as declared.
+    for flag in dict.fromkeys([*values, *specs]):
+        kind, default = specs[flag]
         raw = values.get(flag)
-        if flag == "--help":
-            if raw:
-                from ._help import command_page
-
-                _echo(command_page(name, *usage) + "\n")
-                return 0
-        elif flag == argument:
-            if raw is None:
-                raise UsageError(f"Missing argument '{argument}'.", usage)
+        if raw is not None:
             try:
-                params[argument.lower()] = _existing_file(raw)
-            except _Invalid as exc:
-                raise UsageError(f"Invalid value for '{argument}': {exc}", usage) from None
-        elif raw is not None:
-            try:
-                params[flag[2:]] = _convert(spec[0], raw)
+                value = _convert(kind, raw)
             except _Invalid as exc:
                 raise UsageError(f"Invalid value for '{flag}': {exc}", usage) from None
-        elif spec[1] is _REQUIRED:
-            message = f"Missing option '{flag}'."
-            if type(spec[0]) is tuple:
-                message += " Choose from:\n\t" + ",\n\t".join(spec[0])
+        elif default is _REQUIRED:
+            message = f"Missing {'option' if flag[:1] == '-' else 'argument'} '{flag}'."
+            if type(kind) is tuple:
+                message += " Choose from:\n\t" + ",\n\t".join(kind)
             raise UsageError(message, usage)
         else:
-            params[flag[2:]] = spec[1]
+            value = default
+        params[flag.lstrip("-").lower()] = value
     if rest:
         plural = "s" if len(rest) > 1 else ""
         raise UsageError(f"Got unexpected extra argument{plural} ({' '.join(rest)})", usage)
@@ -567,46 +557,38 @@ def _program_name() -> str:
     return f"python -m {package.lstrip('.')}"
 
 
-class _Cli:
-    """The capflow command group."""
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run one command line (default ``sys.argv[1:]``), as click's ``Group.main`` does.
 
-    def main(self, args=None, prog_name=None, standalone_mode=True):
-        """Run one command line (default ``sys.argv[1:]``).
-
-        In standalone mode a usage error is shown and every outcome ends in
-        SystemExit; otherwise a usage error propagates, and a help page
-        returns 0 and a command None.
-        """
-        args = sys.argv[1:] if args is None else list(args)
-        prog = _program_name() if prog_name is None else prog_name
-        try:
-            rv = _run(args, prog)
-        except (EOFError, KeyboardInterrupt):
-            _echo("\n", err=True)
-            if not standalone_mode:
-                raise
-            _echo("Aborted!\n", err=True)
-            sys.exit(1)
-        except UsageError as exc:
-            if not standalone_mode:
-                raise
-            exc.show()
-            sys.exit(2)
-        except OSError as exc:
-            if exc.errno != errno.EPIPE:
-                raise
-            sys.stdout = _QuietFlush(sys.stdout)
-            sys.stderr = _QuietFlush(sys.stderr)
-            sys.exit(1)
+    In standalone mode a usage error is shown and every outcome ends in
+    SystemExit; otherwise a usage error propagates, and a help page
+    returns 0 and a command None.
+    """
+    args = sys.argv[1:] if args is None else list(args)
+    prog = _program_name() if prog_name is None else prog_name
+    try:
+        rv = _run(args, prog)
+    except (EOFError, KeyboardInterrupt):
+        _echo("\n", err=True)
         if not standalone_mode:
-            return rv
-        sys.exit(0)
+            raise
+        _echo("Aborted!\n", err=True)
+        sys.exit(1)
+    except UsageError as exc:
+        if not standalone_mode:
+            raise
+        exc.show()
+        sys.exit(2)
+    except OSError as exc:
+        if exc.errno != errno.EPIPE:
+            raise
+        sys.stdout = _QuietFlush(sys.stdout)
+        sys.stderr = _QuietFlush(sys.stderr)
+        sys.exit(1)
+    if not standalone_mode:
+        return rv
+    sys.exit(0)
 
-    __call__ = main
 
-
-cli = _Cli()
-
-
-def main():
-    cli()
+# The command group as click's test runner invokes one: through ``cli.main``.
+cli = SimpleNamespace(main=main)

@@ -56,7 +56,7 @@ class FlowRangeError(CapillaryFlowError, ValueError):
 
 
 class TooFewSamplesError(CapillaryFlowError, ValueError):
-    """A profile table was requested with fewer than two samples."""
+    """A profile table was requested with fewer than two samples, or NaN of them."""
 
 
 class TooManySamplesError(CapillaryFlowError, ValueError):
@@ -67,8 +67,9 @@ class QuadratureInputError(CapillaryFlowError, ValueError):
     """A setting of the integrator or the sweep was invalid.
 
     A tolerance or depth limit of ``QuadratureConfig``, an empty or reversed
-    interval of ``adaptive_integrate``, or a seed of ``verification_sweep``
-    that is no non-negative integer.
+    interval of ``adaptive_integrate``, or a trial count of
+    ``verification_sweep`` that is no integer or a seed that is no
+    non-negative integer.
     """
 
 

@@ -36,7 +36,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ._record import _Record, _set
 from .errors import (
-    CapillaryFlowError,
     GeometryRangeError,
     NonPositiveLengthError,
     NonPositiveRadiusError,
@@ -86,13 +85,10 @@ class ShapeKind(enum.Enum):
 
 # Every shape except the straight baseline, in declaration order: the
 # shapes with a corrugation for the closed forms and the oracle to check.
-CORRUGATED = (
-    ShapeKind.CONICAL,
-    ShapeKind.PARABOLIC,
-    ShapeKind.HYPERBOLIC,
-    ShapeKind.HYPERBOLIC_COSINE,
-    ShapeKind.SINUSOIDAL,
-)
+CORRUGATED = tuple(kind for kind in ShapeKind if kind is not ShapeKind.STRAIGHT)
+
+# Bound once: each check in RadiusProfile reads it.
+_INF = math.inf
 
 
 class RadiusProfile(_Record):
@@ -106,11 +102,21 @@ class RadiusProfile(_Record):
     __slots__ = ("kind", "r_min", "r_max", "length")
 
     def __init__(self, kind: ShapeKind, r_min: float, r_max: float, length: float):
-        # One chained comparison accepts every valid geometry; NaN fails it too.
-        if not (0.0 < r_min <= r_max < math.inf and 0.0 < length < math.inf) or (
-            kind is ShapeKind.STRAIGHT and r_max != r_min
-        ):
-            raise _invalid_geometry(kind, r_min, r_max, length)
+        # Each rule is one comparison, which NaN fails too; the first broken one names the error.
+        if not 0.0 < r_min < _INF:
+            raise NonPositiveRadiusError(f"r_min must be a positive finite length, got {r_min!r}")
+        if not -_INF < r_max < _INF:
+            raise NonPositiveRadiusError(f"r_max must be a positive finite length, got {r_max!r}")
+        if r_max < r_min:
+            raise RadiusOrderError(
+                f"r_max must not be smaller than r_min (got r_max={r_max!r} < r_min={r_min!r})"
+            )
+        if not 0.0 < length < _INF:
+            raise NonPositiveLengthError(f"length must be a positive finite length, got {length!r}")
+        if kind is ShapeKind.STRAIGHT and r_max != r_min:
+            raise StraightRadiusMismatchError(
+                f"a straight tube needs r_min == r_max (got {r_min!r} and {r_max!r})"
+            )
         _set(self, "kind", kind)
         _set(self, "r_min", r_min)
         _set(self, "r_max", r_max)
@@ -119,23 +125,6 @@ class RadiusProfile(_Record):
     @property
     def half_length(self) -> float:
         return 0.5 * self.length
-
-
-def _invalid_geometry(kind, r_min, r_max, length) -> CapillaryFlowError:
-    """The error for a geometry that RadiusProfile rejects, by the first rule it breaks."""
-    if not (r_min > 0.0) or not math.isfinite(r_min):
-        return NonPositiveRadiusError(f"r_min must be a positive finite length, got {r_min!r}")
-    if not math.isfinite(r_max):
-        return NonPositiveRadiusError(f"r_max must be a positive finite length, got {r_max!r}")
-    if r_max < r_min:
-        return RadiusOrderError(
-            f"r_max must not be smaller than r_min (got r_max={r_max!r} < r_min={r_min!r})"
-        )
-    if not (length > 0.0) or not math.isfinite(length):
-        return NonPositiveLengthError(f"length must be a positive finite length, got {length!r}")
-    return StraightRadiusMismatchError(
-        f"a straight tube needs r_min == r_max (got {r_min!r} and {r_max!r})"
-    )
 
 
 def make_profile(kind: ShapeKind, r_min: float, r_max: float, length: float) -> RadiusProfile:
@@ -384,7 +373,7 @@ def sample_profile(profile: RadiusProfile, n_samples: int) -> ProfileTable:
     n_samples > MAX_SAMPLES (before building anything), and
     GeometryRangeError when r(x) cannot be evaluated in double precision.
     """
-    if n_samples < 2:
+    if not n_samples >= 2:
         raise TooFewSamplesError(f"need at least 2 samples, got {n_samples}")
     if n_samples > MAX_SAMPLES:
         raise TooManySamplesError(f"need at most {MAX_SAMPLES} samples, got {n_samples}")

@@ -102,6 +102,14 @@ _ROUNDING_FLOOR = 4.0 * sys.float_info.epsilon
 _MAX_PANELS = 100_000
 
 
+def _integer(value, message: str) -> int:
+    """``value`` as an int, through ``operator.index``; QuadratureInputError(message) if it has none."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise QuadratureInputError(message) from None
+
+
 class QuadratureConfig(_Record):
     """Tolerances and limits for adaptive integration.
 
@@ -117,7 +125,7 @@ class QuadratureConfig(_Record):
             raise QuadratureInputError(f"rel_tol must be positive and finite, got {rel_tol!r}")
         if abs_tol < 0.0 or not math.isfinite(abs_tol):
             raise QuadratureInputError(f"abs_tol must be >= 0 and finite, got {abs_tol!r}")
-        if max_depth < 1:
+        if _integer(max_depth, f"max_depth must be an integer, got {max_depth!r}") < 1:
             raise QuadratureInputError(f"max_depth must be >= 1, got {max_depth!r}")
         _set(self, "rel_tol", rel_tol)
         _set(self, "abs_tol", abs_tol)
@@ -471,14 +479,14 @@ def verification_sweep(
     Reports are ordered by shape (as given) then trial index.  Each shape
     draws from the stream that ``numpy.random.default_rng([seed, index])``
     gives, index being the shape's place in ``ShapeKind``.  Raises
-    QuadratureInputError when ``seed`` is no non-negative integer.
+    QuadratureInputError when ``trials`` is no integer or ``seed`` no
+    non-negative integer.
     """
-    try:
-        seed_value = operator.index(seed)
-    except TypeError:
-        seed_value = -1
+    trials = _integer(trials, f"trials must be an integer, got {trials!r}")
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    seed_value = _integer(seed, message)
     if seed_value < 0:
-        raise QuadratureInputError(f"seed must be a non-negative integer, got {seed!r}")
+        raise QuadratureInputError(message)
     reports: list[VerificationReport] = []
     for kind in kinds:
         rng = Generator([seed_value, _KIND_STREAM[kind]])

@@ -1,13 +1,16 @@
 import csv
+import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
+import click_reference
 import reference_data as ref
 from procenv import ENV
 
@@ -610,3 +613,32 @@ class TestNetwork:
         r = run_cli("network", path, *FLUID, "--flow", "1e-9")
         assert r.returncode == 2
         assert '"rmin" must be a number' in r.stderr
+
+
+def _failing_read(path):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code, message",
+    [
+        (["--"], None, 2, "Error: Missing command.\n"),
+        (None, (capflow.cli, "_read_spec", _failing_read), 3, "error: cannot read network.json: [Errno 5] "),
+        (None, (os, "access", lambda path, mode: False), 2,
+         "Error: Invalid value for 'FILE': File 'network.json' is not readable.\n"),
+    ],
+    ids=["missing-command", "read-fails", "unreadable"],
+)
+def test_rare_exits_as_click(argv, patch, code, message, tmp_path, monkeypatch):
+    # A bare "--", a spec whose read fails after the existence check, and one the
+    # process may not read: os.access stands in, since the suite may run as root.
+    monkeypatch.chdir(tmp_path)
+    write_network(tmp_path, tube_node("conical"))
+    if patch:
+        monkeypatch.setattr(*patch)
+    argv = argv or ["network", "network.json", *FLUID, "--flow", "1e-9"]
+    got, expected = (CliRunner().invoke(command, argv, prog_name="capflow")
+                     for command in (capflow.cli.cli, click_reference.cli))
+    assert (got.exit_code, got.stdout_bytes, got.stderr_bytes) == (
+        expected.exit_code, expected.stdout_bytes, expected.stderr_bytes)
+    assert got.exit_code == code and message in got.stderr, got.stderr

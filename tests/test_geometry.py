@@ -254,6 +254,13 @@ class TestSampleProfile:
         with pytest.raises(TooFewSamplesError):
             sample_profile(canonical(ShapeKind.CONICAL), 1)
 
+    def test_nan_count_is_too_few(self):
+        # A float count is truncated as before; NaN is refused by type, not by int().
+        p = canonical(ShapeKind.CONICAL)
+        with pytest.raises(TooFewSamplesError, match="need at least 2 samples, got nan"):
+            sample_profile(p, math.nan)
+        assert len(sample_profile(p, 2.5)) == 2
+
     def test_rows_iterates_pairs(self):
         t = sample_profile(canonical(ShapeKind.CONICAL), 3)
         rows = list(t.rows())
@@ -393,6 +400,24 @@ class TestSamplerRange:
         profile = make_profile(kind, r_min, r_max, length)
         assert sample_profile(profile, 3).r == (r_max, r_min, r_max)
         assert radius_at(profile, 0.25 * profile.half_length) == pytest.approx(quarter, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "rho", [lambda t: math.inf, lambda t: math.nan, lambda t: math.cosh(1e4)], ids=["inf", "nan", "overflow"]
+    )
+    def test_non_finite_rho_is_a_range_error(self, rho, monkeypatch):
+        # No real shape is known to get here, so a stub rho stands in: the
+        # clamp must not turn its inf or NaN into r_max.
+        kind = ShapeKind.CONICAL
+        monkeypatch.setitem(geometry._SHAPES, kind, geometry._SHAPES[kind]._replace(rho=lambda d: rho))
+        profile = canonical(kind)
+        samplers = (
+            lambda: radius_at(profile, 0.01),
+            lambda: radius_array(profile, [profile.half_length, 0.0]),
+            lambda: sample_profile(profile, 5),
+        )
+        for sampler in samplers:
+            with pytest.raises(GeometryRangeError, match=r"the values of r\(x\) are not finite doubles for conical"):
+                sampler()
 
     def test_nan_position_is_out_of_domain(self):
         with pytest.raises(OutOfDomainError):

@@ -14,6 +14,7 @@ from capflow import (
     DEFAULT_CONFIG,
     CapillaryFlowError,
     Fluid,
+    GeometryRangeError,
     NotConvergedError,
     QuadratureConfig,
     QuadratureInputError,
@@ -127,8 +128,12 @@ class TestConfig:
             lambda: QuadratureConfig(max_depth=0),
             lambda: adaptive_integrate(math.exp, 1.0, 1.0),
             lambda: adaptive_integrate(math.exp, 0.0, math.nan),
+            lambda: QuadratureConfig(max_depth=2.5),
+            lambda: QuadratureConfig(max_depth=math.nan),
+            lambda: verification_sweep(CORRUGATED, 2.5, 1e-9, 1),
         ],
-        ids=["rel_tol", "abs_tol", "max_depth", "empty-interval", "nan-bound"],
+        ids=["rel_tol", "abs_tol", "max_depth", "empty-interval", "nan-bound", "max_depth-float",
+             "max_depth-nan", "trials-float"],
     )
     def test_errors_are_typed(self, call):
         with pytest.raises(QuadratureInputError) as info:
@@ -262,6 +267,33 @@ class TestIntegrateInverseR4:
                 if abs(got.value - reference.value) <= got.error_estimate + floor:
                     sound += 1
         assert sound >= 0.99 * total
+
+    @pytest.mark.parametrize(
+        "kind, r_max, rel_tol, share, evaluations",
+        [
+            (ShapeKind.CONICAL, 2e-3, 1e-15, 1e-6, (135, 15)),
+            (ShapeKind.HYPERBOLIC_COSINE, 1e2, 1e-15, 1e-8, (480, 180)),
+        ],
+        ids=["conical", "cosh"],
+    )
+    def test_abs_tol_ends_refinement(self, kind, r_max, rel_tol, share, evaluations):
+        # abs_tol is in 1/m^3 and the loop runs on F = I r_min^4 / L: a budget
+        # of share * I must stop it as soon as the gap falls below that share.
+        profile = make_profile(kind, 1e-3, r_max, 0.1)
+        exact = inverse_r4_integral(profile)
+        bare = integrate_inverse_r4(profile, QuadratureConfig(rel_tol=rel_tol))
+        cut = integrate_inverse_r4(profile, QuadratureConfig(rel_tol=rel_tol, abs_tol=share * exact))
+        assert (bare.evaluations, cut.evaluations) == evaluations
+        # Stopped by abs_tol, not by rel_tol, and still within its estimate of the closed form.
+        assert cut.converged and rel_tol * exact < cut.error_estimate <= share * exact
+        assert abs(cut.value - exact) <= cut.error_estimate
+
+    def test_abs_tol_where_the_unit_underflows(self):
+        # L/r_min^4 rounds to 0, so I does too: the same typed error as without abs_tol.
+        profile = make_profile(ShapeKind.CONICAL, 1e100, 2e100, 1e-300)
+        for abs_tol in (0.0, 1.0):
+            with pytest.raises(GeometryRangeError, match="quadrature I = integral"):
+                integrate_inverse_r4(profile, QuadratureConfig(abs_tol=abs_tol))
 
     def test_deterministic(self):
         a = integrate_inverse_r4(wide("parabolic"))

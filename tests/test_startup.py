@@ -1,6 +1,8 @@
 """Start-up contract: capflow never loads numpy, and loads the quadrature
 module only when a quadrature name is used.  Neither ``import capflow`` nor
-any command loads click, dataclasses or inspect, unless a bare interpreter
+any command that succeeds loads click, dataclasses, inspect,
+``capflow.summation`` or the modules of the help and error paths
+(``capflow._help``, difflib, textwrap, shutil), unless a bare interpreter
 in the same environment already does.
 
 Each check runs in a fresh interpreter, because numpy stays in
@@ -237,8 +239,9 @@ def test_unknown_attribute_raises_attribute_error():
     assert out == "module 'capflow' has no attribute 'no_such_name'\nFalse False\n"
 
 
-# Modules that a capflow process must not load itself.
-UNWANTED = ("click", "dataclasses", "inspect")
+# Modules that a capflow process must not load itself.  The last four load
+# on a help or error path only; no command uses capflow.summation.
+UNWANTED = ("click", "dataclasses", "inspect", "capflow.summation", "capflow._help", "difflib", "textwrap", "shutil")
 
 
 @pytest.fixture(scope="module")
