@@ -6,23 +6,25 @@ adds its own after its base's).  It behaves as a frozen dataclass with
 fields, it hashes as the tuple of its fields, its repr is
 ``Name(field=value, ...)``, and assigning or deleting a field raises
 AttributeError.  Each record's ``__init__`` validates its arguments and
-stores them with ``_set``; pickling and copying rebuild a record through
-that ``__init__``.
+stores them through its class's ``_setters``; pickling and copying rebuild
+a record through that ``__init__``.
 """
 
 from __future__ import annotations
-
-# Stores a field past the record's own __setattr__, which refuses every write.
-_set = object.__setattr__
 
 
 class _Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        # Each field's slot setter, in _fields order, bound once per class.  It
+        # stores past the record's own __setattr__, which refuses every write,
+        # at about half the cost of object.__setattr__.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

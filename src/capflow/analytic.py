@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 from math import frexp, ldexp
 
-from ._record import _Record, _set
+from ._record import _Record
 from .errors import (
     FlowRangeError,
     GeometryRangeError,
     NonPositiveViscosityError,
 )
-from .geometry import RadiusProfile, ShapeKind, _dimensionless, _range_error, make_profile
+from .geometry import _INF, _STRAIGHT, RadiusProfile, _dimensionless, _range_error, make_profile
 
 __all__ = [
     "Fluid",
@@ -47,9 +47,13 @@ class Fluid(_Record):
     __slots__ = ("viscosity",)
 
     def __init__(self, viscosity: float):
-        if not (viscosity > 0.0) or not math.isfinite(viscosity):
+        try:
+            valid = viscosity > 0.0 and math.isfinite(viscosity)
+        except TypeError:  # not a number
+            valid = False
+        if not valid:
             raise NonPositiveViscosityError(f"viscosity must be positive and finite, got {viscosity!r}")
-        _set(self, "viscosity", viscosity)
+        self._setters[0](self, viscosity)
 
 
 def _flow_range_error(quantity: str, value: float, **inputs: float) -> FlowRangeError:
@@ -67,8 +71,9 @@ class HydraulicResistance(_Record):
     __slots__ = ("resistance", "geometric_factor")
 
     def __init__(self, resistance: float, geometric_factor: float):
-        _set(self, "resistance", resistance)
-        _set(self, "geometric_factor", geometric_factor)
+        set_resistance, set_geometric_factor = self._setters
+        set_resistance(self, resistance)
+        set_geometric_factor(self, geometric_factor)
 
     def pressure_drop(self, flow_rate: float) -> float:
         """P = resistance * Q, in Pa; FlowRangeError unless finite."""
@@ -79,10 +84,15 @@ class HydraulicResistance(_Record):
 
     def flow_rate(self, pressure_drop: float) -> float:
         """Q = P / resistance, in m^3/s; FlowRangeError unless finite."""
-        value = pressure_drop / self.resistance
-        if not math.isfinite(value):
-            raise _flow_range_error("flow rate", value, resistance=self.resistance, pressure_drop=pressure_drop)
-        return value
+        return _flow_rate_of(self.resistance, pressure_drop)
+
+
+def _flow_rate_of(resistance: float, pressure_drop: float) -> float:
+    """Q = P / resistance for a given resistance; FlowRangeError unless finite."""
+    value = pressure_drop / resistance
+    if not math.isfinite(value):
+        raise _flow_range_error("flow rate", value, resistance=resistance, pressure_drop=pressure_drop)
+    return value
 
 
 def _integral(profile: RadiusProfile, f: float, source: str = "") -> float:
@@ -101,7 +111,7 @@ def _integral(profile: RadiusProfile, f: float, source: str = "") -> float:
     except OverflowError:
         value = math.inf
     # One comparison: false for 0, inf and nan alike.
-    if source and not 0.0 < value < math.inf:
+    if source and not 0.0 < value < _INF:
         raise _range_error(profile, f"{source} I = integral dx/r^4 is not a positive finite double")
     return value
 
@@ -128,7 +138,7 @@ def poiseuille_pressure_drop(radius: float, length: float, flow_rate: float, flu
         flow_rate: volumetric rate Q (m^3/s), signed.
         fluid: the fluid; its viscosity scales P linearly.
     """
-    return pressure_drop(make_profile(ShapeKind.STRAIGHT, radius, radius, length), flow_rate, fluid)
+    return pressure_drop(make_profile(_STRAIGHT, radius, radius, length), flow_rate, fluid)
 
 
 def pressure_drop(profile: RadiusProfile, flow_rate: float, fluid: Fluid) -> float:
@@ -152,9 +162,12 @@ def _pressure_drop_of(integral: float, flow_rate: float, fluid: Fluid) -> float:
 def flow_rate(profile: RadiusProfile, pressure_drop: float, fluid: Fluid) -> float:
     """Flow rate Q = P / resistance, in m^3/s; the exact linear inverse.
 
-    Raises FlowRangeError when P is NaN or Q overflows.
+    Raises what ``hydraulic_resistance(profile, fluid).flow_rate(pressure_drop)``
+    raises, in the same order, without building the record: GeometryRangeError
+    or FlowRangeError for G or mu * G, then FlowRangeError when P is NaN or Q
+    overflows.
     """
-    return hydraulic_resistance(profile, fluid).flow_rate(pressure_drop)
+    return _flow_rate_of(_resistance_of((8.0 / math.pi) * inverse_r4_integral(profile), fluid), pressure_drop)
 
 
 def hydraulic_resistance(profile: RadiusProfile, fluid: Fluid) -> HydraulicResistance:
@@ -163,24 +176,25 @@ def hydraulic_resistance(profile: RadiusProfile, fluid: Fluid) -> HydraulicResis
     Raises GeometryRangeError when G, and FlowRangeError when mu * G, is no
     positive finite double.
     """
-    return _resistance_of((8.0 / math.pi) * inverse_r4_integral(profile), fluid)
+    g = (8.0 / math.pi) * inverse_r4_integral(profile)
+    return HydraulicResistance(_resistance_of(g, fluid), g)
 
 
-def _resistance_of(g: float, fluid: Fluid) -> HydraulicResistance:
-    """The HydraulicResistance mu * G of a geometric factor G = g, in 1/m^3.
+def _resistance_of(g: float, fluid: Fluid) -> float:
+    """The resistance mu * G of a geometric factor G = g in 1/m^3, in Pa*s/m^3.
 
     Raises GeometryRangeError unless G, and FlowRangeError unless mu * G,
     is a positive finite double.
     """
-    if not 0.0 < g < math.inf:
+    if not 0.0 < g < _INF:
         raise GeometryRangeError(f"geometric factor G = {g!r} is not a positive finite double")
     resistance = fluid.viscosity * g
-    if not 0.0 < resistance < math.inf:
+    if not 0.0 < resistance < _INF:
         raise FlowRangeError(
             f"resistance {resistance!r} is not a positive finite double "
             f"for viscosity={fluid.viscosity!r}, geometric_factor={g!r}"
         )
-    return HydraulicResistance(resistance=resistance, geometric_factor=g)
+    return resistance
 
 
 def equivalent_radius(profile: RadiusProfile) -> float:

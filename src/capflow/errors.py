@@ -13,7 +13,7 @@ class CapillaryFlowError(Exception):
 
 
 class NonPositiveRadiusError(CapillaryFlowError, ValueError):
-    """A radius was zero or negative."""
+    """A radius was zero, negative, NaN or infinite, or not a number at all."""
 
 
 class RadiusOrderError(CapillaryFlowError, ValueError):
@@ -25,11 +25,11 @@ class StraightRadiusMismatchError(CapillaryFlowError, ValueError):
 
 
 class NonPositiveLengthError(CapillaryFlowError, ValueError):
-    """A tube length was zero or negative."""
+    """A tube length was zero, negative, NaN or infinite, or not a number at all."""
 
 
 class NonPositiveViscosityError(CapillaryFlowError, ValueError):
-    """A fluid viscosity was zero or negative."""
+    """A fluid viscosity was zero, negative, NaN or infinite, or not a number at all."""
 
 
 class OutOfDomainError(CapillaryFlowError, ValueError):
@@ -56,7 +56,7 @@ class FlowRangeError(CapillaryFlowError, ValueError):
 
 
 class TooFewSamplesError(CapillaryFlowError, ValueError):
-    """A profile table was requested with fewer than two samples, or NaN of them."""
+    """A profile table was requested with fewer than two samples, NaN of them, or no number of them."""
 
 
 class TooManySamplesError(CapillaryFlowError, ValueError):
@@ -66,10 +66,10 @@ class TooManySamplesError(CapillaryFlowError, ValueError):
 class QuadratureInputError(CapillaryFlowError, ValueError):
     """A setting of the integrator or the sweep was invalid.
 
-    A tolerance or depth limit of ``QuadratureConfig``, an empty or reversed
-    interval of ``adaptive_integrate``, or a trial count of
-    ``verification_sweep`` that is no integer or a seed that is no
-    non-negative integer.
+    A tolerance (a non-number included) or depth limit of
+    ``QuadratureConfig``, an empty or reversed interval of
+    ``adaptive_integrate``, or a trial count of ``verification_sweep`` that
+    is no integer of at least 1 or a seed that is no non-negative integer.
     """
 
 

@@ -34,7 +34,7 @@ import enum
 import math
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from ._record import _Record, _set
+from ._record import _Record
 from .errors import (
     GeometryRangeError,
     NonPositiveLengthError,
@@ -83,12 +83,14 @@ class ShapeKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+# Bound once: reading ``ShapeKind.STRAIGHT`` or ``math.inf`` costs more than
+# the comparison that uses it, and every RadiusProfile reads both.
+_STRAIGHT = ShapeKind.STRAIGHT
+_INF = math.inf
+
 # Every shape except the straight baseline, in declaration order: the
 # shapes with a corrugation for the closed forms and the oracle to check.
-CORRUGATED = tuple(kind for kind in ShapeKind if kind is not ShapeKind.STRAIGHT)
-
-# Bound once: each check in RadiusProfile reads it.
-_INF = math.inf
+CORRUGATED = tuple(kind for kind in ShapeKind if kind is not _STRAIGHT)
 
 
 class RadiusProfile(_Record):
@@ -103,24 +105,38 @@ class RadiusProfile(_Record):
 
     def __init__(self, kind: ShapeKind, r_min: float, r_max: float, length: float):
         # Each rule is one comparison, which NaN fails too; the first broken one names the error.
-        if not 0.0 < r_min < _INF:
+        # A non-number breaks the rule of its own input: its comparison raises TypeError.
+        try:
+            valid = 0.0 < r_min < _INF
+        except TypeError:
+            valid = False
+        if not valid:
             raise NonPositiveRadiusError(f"r_min must be a positive finite length, got {r_min!r}")
-        if not -_INF < r_max < _INF:
+        try:
+            valid = -_INF < r_max < _INF
+        except TypeError:
+            valid = False
+        if not valid:
             raise NonPositiveRadiusError(f"r_max must be a positive finite length, got {r_max!r}")
         if r_max < r_min:
             raise RadiusOrderError(
                 f"r_max must not be smaller than r_min (got r_max={r_max!r} < r_min={r_min!r})"
             )
-        if not 0.0 < length < _INF:
+        try:
+            valid = 0.0 < length < _INF
+        except TypeError:
+            valid = False
+        if not valid:
             raise NonPositiveLengthError(f"length must be a positive finite length, got {length!r}")
-        if kind is ShapeKind.STRAIGHT and r_max != r_min:
+        if kind is _STRAIGHT and r_max != r_min:
             raise StraightRadiusMismatchError(
                 f"a straight tube needs r_min == r_max (got {r_min!r} and {r_max!r})"
             )
-        _set(self, "kind", kind)
-        _set(self, "r_min", r_min)
-        _set(self, "r_max", r_max)
-        _set(self, "length", length)
+        set_kind, set_r_min, set_r_max, set_length = self._setters
+        set_kind(self, kind)
+        set_r_min(self, r_min)
+        set_r_max(self, r_max)
+        set_length(self, length)
 
     @property
     def half_length(self) -> float:
@@ -337,8 +353,9 @@ class ProfileTable(_Record):
     __slots__ = ("x", "r")
 
     def __init__(self, x: tuple[float, ...], r: tuple[float, ...]):
-        _set(self, "x", x)
-        _set(self, "r", r)
+        set_x, set_r = self._setters
+        set_x(self, x)
+        set_r(self, r)
 
     def __len__(self) -> int:
         return len(self.x)
@@ -369,13 +386,18 @@ def _grid(half: float, n: int) -> list[float]:
 def sample_profile(profile: RadiusProfile, n_samples: int) -> ProfileTable:
     """Sample r(x) at n_samples uniform points, endpoints included.
 
-    Raises TooFewSamplesError when n_samples < 2, TooManySamplesError when
-    n_samples > MAX_SAMPLES (before building anything), and
-    GeometryRangeError when r(x) cannot be evaluated in double precision.
+    Raises TooFewSamplesError when n_samples is no number of at least 2,
+    TooManySamplesError when n_samples > MAX_SAMPLES (before building
+    anything), and GeometryRangeError when r(x) cannot be evaluated in
+    double precision.
     """
-    if not n_samples >= 2:
-        raise TooFewSamplesError(f"need at least 2 samples, got {n_samples}")
+    try:
+        valid = n_samples >= 2
+    except TypeError:
+        valid = False
+    if not valid:
+        raise TooFewSamplesError(f"need at least 2 samples, got {n_samples!r}")
     if n_samples > MAX_SAMPLES:
         raise TooManySamplesError(f"need at most {MAX_SAMPLES} samples, got {n_samples}")
     xs = tuple(_grid(profile.half_length, int(n_samples)))
-    return ProfileTable(x=xs, r=tuple(_radii(profile, xs)))
+    return ProfileTable(xs, tuple(_radii(profile, xs)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Union
 
-from ._record import _Record, _set
+from ._record import _Record
 from .analytic import Fluid, HydraulicResistance, _resistance_of, inverse_r4_integral
 from .errors import CapillaryFlowError, EmptyCompositeError, GeometryRangeError, NetworkSpecError
 from .geometry import RadiusProfile, ShapeKind
@@ -42,7 +42,7 @@ class Tube(_Record):
     __slots__ = ("profile",)
 
     def __init__(self, profile: RadiusProfile):
-        _set(self, "profile", profile)
+        self._setters[0](self, profile)
 
 
 class _Composite(_Record):
@@ -54,7 +54,7 @@ class _Composite(_Record):
         elements = tuple(elements)
         if not elements:
             raise EmptyCompositeError(f"a {type(self).__name__.lower()} node needs at least one element")
-        _set(self, "elements", elements)
+        self._setters[0](self, elements)
 
 
 class Series(_Composite):
@@ -120,7 +120,8 @@ def network_resistance(element: NetworkElement, fluid: Fluid) -> HydraulicResist
     Raises GeometryRangeError when the composed G is no positive finite
     double, and FlowRangeError when mu * G is not.
     """
-    return _resistance_of(_geometric_factor(element), fluid)
+    g = _geometric_factor(element)
+    return HydraulicResistance(_resistance_of(g, fluid), g)
 
 
 def network_pressure_drop(element: NetworkElement, flow_rate: float, fluid: Fluid) -> float:

@@ -35,10 +35,10 @@ import sys
 from typing import Callable, Sequence
 
 from ._pcg64 import Generator
-from ._record import _Record, _set
+from ._record import _Record
 from .analytic import Fluid, _integral, _pressure_drop_of, pressure_drop
 from .errors import NotConvergedError, QuadratureInputError
-from .geometry import RadiusProfile, ShapeKind, _dimensionless, make_profile
+from .geometry import _STRAIGHT, RadiusProfile, ShapeKind, _dimensionless, make_profile
 
 # Not used here since the oracle integrates rho, but kept as a module
 # attribute: the traced verify pass of perfbench swaps it together
@@ -121,15 +121,25 @@ class QuadratureConfig(_Record):
     __slots__ = ("rel_tol", "abs_tol", "max_depth")
 
     def __init__(self, rel_tol: float = 1e-10, abs_tol: float = 0.0, max_depth: int = 48):
-        if not (rel_tol > 0.0) or not math.isfinite(rel_tol):
+        # A non-number fails its own check: its comparison raises TypeError.
+        try:
+            valid = rel_tol > 0.0 and math.isfinite(rel_tol)
+        except TypeError:
+            valid = False
+        if not valid:
             raise QuadratureInputError(f"rel_tol must be positive and finite, got {rel_tol!r}")
-        if abs_tol < 0.0 or not math.isfinite(abs_tol):
+        try:
+            valid = abs_tol >= 0.0 and math.isfinite(abs_tol)
+        except TypeError:
+            valid = False
+        if not valid:
             raise QuadratureInputError(f"abs_tol must be >= 0 and finite, got {abs_tol!r}")
         if _integer(max_depth, f"max_depth must be an integer, got {max_depth!r}") < 1:
             raise QuadratureInputError(f"max_depth must be >= 1, got {max_depth!r}")
-        _set(self, "rel_tol", rel_tol)
-        _set(self, "abs_tol", abs_tol)
-        _set(self, "max_depth", max_depth)
+        set_rel_tol, set_abs_tol, set_max_depth = self._setters
+        set_rel_tol(self, rel_tol)
+        set_abs_tol(self, abs_tol)
+        set_max_depth(self, max_depth)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -151,10 +161,11 @@ class QuadratureResult(_Record):
     __slots__ = ("value", "error_estimate", "evaluations", "stop_reason")
 
     def __init__(self, value: float, error_estimate: float, evaluations: int, stop_reason: str):
-        _set(self, "value", value)
-        _set(self, "error_estimate", error_estimate)
-        _set(self, "evaluations", evaluations)
-        _set(self, "stop_reason", stop_reason)
+        set_value, set_error_estimate, set_evaluations, set_stop_reason = self._setters
+        set_value(self, value)
+        set_error_estimate(self, error_estimate)
+        set_evaluations(self, evaluations)
+        set_stop_reason(self, stop_reason)
 
     @property
     def converged(self) -> bool:
@@ -193,14 +204,24 @@ class VerificationReport(_Record):
         passed: bool,
         evaluations: int,
     ):
-        _set(self, "profile", profile)
-        _set(self, "analytic_pressure_drop", analytic_pressure_drop)
-        _set(self, "numeric_pressure_drop", numeric_pressure_drop)
-        _set(self, "relative_discrepancy", relative_discrepancy)
-        _set(self, "oracle_error_estimate", oracle_error_estimate)
-        _set(self, "converged", converged)
-        _set(self, "passed", passed)
-        _set(self, "evaluations", evaluations)
+        (
+            set_profile,
+            set_analytic_pressure_drop,
+            set_numeric_pressure_drop,
+            set_relative_discrepancy,
+            set_oracle_error_estimate,
+            set_converged,
+            set_passed,
+            set_evaluations,
+        ) = self._setters
+        set_profile(self, profile)
+        set_analytic_pressure_drop(self, analytic_pressure_drop)
+        set_numeric_pressure_drop(self, numeric_pressure_drop)
+        set_relative_discrepancy(self, relative_discrepancy)
+        set_oracle_error_estimate(self, oracle_error_estimate)
+        set_converged(self, converged)
+        set_passed(self, passed)
+        set_evaluations(self, evaluations)
 
 
 def _panel(fn, a: float, b: float) -> tuple[float, float]:
@@ -272,21 +293,23 @@ def _integrate(fn, edges: list[float], rel_tol: float, abs_tol: float, max_depth
         gap.append(g)
     panels_evaluated = len(lo)
     total_width = edges[-1] - edges[0]
-    stop_reason = "generation_limit"
 
     # Each generation deepens every still-active lineage by one, so
     # max_depth + 1 passes are usually enough.  A panel can also become
     # worth splitting only after the estimate, and with it the budget, has
-    # shrunk; the extra headroom covers that.
+    # shrunk; the extra headroom covers that.  A pass that stops returns the
+    # sums it has just formed, as no panel has changed since; only running
+    # out of generations sums the lists again.
     for _generation in range(2 * max_depth + 8):
         estimate = math.fsum(kron)
+        error = math.fsum(gap)
         if not math.isfinite(estimate):
             # The integrand gave inf or NaN; no refinement recovers from
             # that, and an infinite budget would pass any error estimate.
             stop_reason = "non_finite"
             break
         budget = max(abs_tol, rel_tol * abs(estimate))
-        if math.fsum(gap) <= budget:
+        if error <= budget:
             stop_reason = "converged"
             break
 
@@ -324,8 +347,10 @@ def _integrate(fn, edges: list[float], rel_tol: float, abs_tol: float, max_depth
             kron.append(k)
             gap.append(g)
         panels_evaluated += 2 * len(split)
+    else:
+        estimate, error, stop_reason = math.fsum(kron), math.fsum(gap), "generation_limit"
 
-    return math.fsum(kron), math.fsum(gap), panels_evaluated * _POINTS_PER_PANEL, stop_reason
+    return estimate, error, panels_evaluated * _POINTS_PER_PANEL, stop_reason
 
 
 def integrate_inverse_r4(
@@ -362,10 +387,7 @@ def integrate_inverse_r4(
         integrand, [0.0, *edges, 1.0], config.rel_tol, abs_tol, config.max_depth
     )
     return QuadratureResult(
-        value=_integral(profile, value, "quadrature"),
-        error_estimate=_integral(profile, error),
-        evaluations=evaluations,
-        stop_reason=stop_reason,
+        _integral(profile, value, "quadrature"), _integral(profile, error), evaluations, stop_reason
     )
 
 
@@ -411,17 +433,11 @@ def verify_analytic(
     numeric = (8.0 / math.pi) * result.value
     analytic = pressure_drop(profile, 1.0, _REFERENCE_FLUID)
     discrepancy = abs(analytic - numeric) / abs(numeric)
-    oracle_relative = result.error_estimate / result.value
-    passed = result.converged and discrepancy <= max(tolerance, oracle_relative)
+    error_estimate = result.error_estimate
+    converged = result.stop_reason == "converged"
+    passed = converged and discrepancy <= max(tolerance, error_estimate / result.value)
     return VerificationReport(
-        profile=profile,
-        analytic_pressure_drop=analytic,
-        numeric_pressure_drop=numeric,
-        relative_discrepancy=discrepancy,
-        oracle_error_estimate=result.error_estimate,
-        converged=result.converged,
-        passed=passed,
-        evaluations=result.evaluations,
+        profile, analytic, numeric, discrepancy, error_estimate, converged, passed, result.evaluations
     )
 
 
@@ -455,7 +471,7 @@ def random_profile(kind: ShapeKind, rng) -> RadiusProfile:
     anything whose ``random(n)`` gives n floats in [0, 1), such as a
     ``numpy.random.Generator``.
     """
-    if kind is ShapeKind.STRAIGHT:
+    if kind is _STRAIGHT:
         u_rmin, u_length = rng.random(2)
         r_min = 10.0 ** _scaled(_LOG10_RMIN, u_rmin)
         r_max = r_min
@@ -479,10 +495,12 @@ def verification_sweep(
     Reports are ordered by shape (as given) then trial index.  Each shape
     draws from the stream that ``numpy.random.default_rng([seed, index])``
     gives, index being the shape's place in ``ShapeKind``.  Raises
-    QuadratureInputError when ``trials`` is no integer or ``seed`` no
-    non-negative integer.
+    QuadratureInputError when ``trials`` is no integer of at least 1 or
+    ``seed`` no non-negative integer.
     """
     trials = _integer(trials, f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise QuadratureInputError(f"trials must be >= 1, got {trials!r}")
     message = f"seed must be a non-negative integer, got {seed!r}"
     seed_value = _integer(seed, message)
     if seed_value < 0:

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -43,9 +45,9 @@ class TestFluid:
     def test_valid(self):
         assert Fluid(1e-3).viscosity == 1e-3
 
-    @pytest.mark.parametrize("mu", [0.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("mu", [0.0, -1e-3, math.nan, math.inf, "1", None])
     def test_invalid(self, mu):
-        with pytest.raises(NonPositiveViscosityError):
+        with pytest.raises(NonPositiveViscosityError, match=f"got {re.escape(repr(mu))}$"):
             Fluid(mu)
 
 
@@ -221,6 +223,46 @@ class TestResistanceRange:
     def test_extreme_but_finite_resistance_passes(self):
         res = hydraulic_resistance(self.CONICAL, Fluid(1e290))
         assert res.resistance == 1e290 * res.geometric_factor
+
+
+def outcome(call):
+    """The float a call returns, or the type and message of the CapillaryFlowError it raises."""
+    try:
+        return call()
+    except CapillaryFlowError as exc:
+        return type(exc), str(exc)
+
+
+class TestFlowRateEquivalence:
+    """flow_rate(p, P, fluid) builds no record, yet answers as the record does:
+    the same float, or the same error with the same message, first check first."""
+
+    CONICAL = make_profile(ShapeKind.CONICAL, 1e-3, 2e-3, 0.1)
+    TUBES = {
+        "plain": (CONICAL, WATER),
+        "G-overflows": (make_profile(ShapeKind.STRAIGHT, 1e-77, 1e-77, 1.0), WATER),
+        "muG-overflows": (CONICAL, Fluid(1e300)),
+        "muG-underflows": (make_profile(ShapeKind.STRAIGHT, 1e70, 1e70, 1e-3), Fluid(1e-300)),
+        "Q-overflows": (CONICAL, Fluid(1e-300)),
+        "subnormal-I": (make_profile(ShapeKind.STRAIGHT, 1e80, 1e80, 1.0), Fluid(1.0)),
+    }
+    PRESSURES = [1.0, -1.0, 0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("tube", sorted(TUBES))
+    def test_same_answer_or_error(self, tube):
+        profile, fluid = self.TUBES[tube]
+        for pressure in self.PRESSURES:
+            expected = outcome(lambda: hydraulic_resistance(profile, fluid).flow_rate(pressure))
+            assert outcome(lambda: flow_rate(profile, pressure, fluid)) == expected, pressure
+
+    def test_cases_reach_every_outcome(self):
+        assert 0.0 < inverse_r4_integral(self.TUBES["subnormal-I"][0]) < sys.float_info.min
+        seen = set()
+        for profile, fluid in self.TUBES.values():
+            for pressure in self.PRESSURES:
+                result = outcome(lambda: flow_rate(profile, pressure, fluid))
+                seen.add("answer" if isinstance(result, float) else result[1].split(" ")[0])
+        assert seen == {"answer", "geometric", "resistance", "flow"}
 
 
 class TestPressureDrop:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -17,6 +18,7 @@ from capflow import (
     NonPositiveRadiusError,
     OutOfDomainError,
     RadiusOrderError,
+    RadiusProfile,
     ShapeKind,
     StraightRadiusMismatchError,
     TooFewSamplesError,
@@ -76,6 +78,17 @@ class TestMakeProfile:
     def test_errors_are_value_errors(self):
         with pytest.raises(ValueError):
             make_profile(ShapeKind.CONICAL, 2e-3, 1e-3, 0.1)
+
+    @pytest.mark.parametrize("value", [None, "1e-3"])
+    @pytest.mark.parametrize(
+        "field,error",
+        [("r_min", NonPositiveRadiusError), ("r_max", NonPositiveRadiusError), ("length", NonPositiveLengthError)],
+    )
+    def test_non_number_is_typed(self, field, error, value):
+        # RadiusProfile itself, which takes its values as given (make_profile converts with float()).
+        args = {"kind": ShapeKind.CONICAL, "r_min": 1e-3, "r_max": 2e-3, "length": 0.1, field: value}
+        with pytest.raises(error, match=f"^{field} must be a positive finite length, got {re.escape(repr(value))}$"):
+            RadiusProfile(**args)
 
 
 def canonical_f(token):
@@ -260,6 +273,11 @@ class TestSampleProfile:
         with pytest.raises(TooFewSamplesError, match="need at least 2 samples, got nan"):
             sample_profile(p, math.nan)
         assert len(sample_profile(p, 2.5)) == 2
+
+    @pytest.mark.parametrize("count", ["5", None])
+    def test_non_number_count_is_too_few(self, count):
+        with pytest.raises(TooFewSamplesError, match=f"need at least 2 samples, got {re.escape(repr(count))}$"):
+            sample_profile(canonical(ShapeKind.CONICAL), count)
 
     def test_rows_iterates_pairs(self):
         t = sample_profile(canonical(ShapeKind.CONICAL), 3)

@@ -131,9 +131,13 @@ class TestConfig:
             lambda: QuadratureConfig(max_depth=2.5),
             lambda: QuadratureConfig(max_depth=math.nan),
             lambda: verification_sweep(CORRUGATED, 2.5, 1e-9, 1),
+            lambda: verification_sweep(CORRUGATED, 0, 1e-9, 1),
+            lambda: verification_sweep(CORRUGATED, -3, 1e-9, 1),
+            lambda: QuadratureConfig(rel_tol="x"),
+            lambda: QuadratureConfig(abs_tol=None),
         ],
         ids=["rel_tol", "abs_tol", "max_depth", "empty-interval", "nan-bound", "max_depth-float",
-             "max_depth-nan", "trials-float"],
+             "max_depth-nan", "trials-float", "trials-0", "trials-negative", "rel_tol-str", "abs_tol-None"],
     )
     def test_errors_are_typed(self, call):
         with pytest.raises(QuadratureInputError) as info:

@@ -8,11 +8,15 @@ below were printed by the dataclasses), and rebuilt equal by pickle and
 deepcopy.
 """
 
+import ast
+import collections
 import copy
+import pathlib
 import pickle
 
 import pytest
 
+import capflow
 from capflow import (
     Fluid,
     Parallel,
@@ -24,12 +28,16 @@ from capflow import (
     ShapeKind,
     Tube,
     VerificationReport,
+    equivalent_radius,
+    flow_rate,
     hydraulic_resistance,
     integrate_inverse_r4,
     make_profile,
+    pressure_drop,
     sample_profile,
     verify_analytic,
 )
+from capflow._record import _Record
 from capflow.analytic import HydraulicResistance
 from capflow.network import _Composite
 
@@ -152,3 +160,77 @@ def test_keyword_and_positional_construction():
     assert VerificationReport(**{name: getattr(report, name) for name in report._fields}) == report
     table = ProfileTable(x=(0.0, 1.0), r=(1.0, 2.0))
     assert len(table) == 2 and list(table.rows()) == [(0.0, 1.0), (1.0, 2.0)]
+
+
+def record_classes():
+    """Every _Record subclass, found by walking __subclasses__ from the base."""
+    found, todo = [], [_Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found.append(cls)
+            todo.append(cls)
+    return found
+
+
+def test_setters_store_exactly_the_fields_in_order():
+    classes = record_classes()
+    assert {cls.__name__ for cls in classes} == set(RECORDS)
+    for cls in classes:
+        # A bound slot setter is the __set__ of the field's member descriptor.
+        assert [setter.__self__ for setter in cls._setters] == [getattr(cls, name) for name in cls._fields]
+        assert {setter.__name__ for setter in cls._setters} <= {"__set__"}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_construction_sets_every_slot(name):
+    record = RECORDS[name][0]()
+    slots = [slot for cls in type(record).__mro__ for slot in cls.__dict__.get("__slots__", ())]
+    assert sorted(slots) == sorted(record._fields)
+    for slot in slots:
+        getattr(record, slot)  # AttributeError if the slot was left unset
+
+
+def test_no_module_stores_through_object_setattr():
+    modules = sorted(pathlib.Path(capflow.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for module in modules:
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        uses = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+        ]
+        assert uses == [], module.name
+
+
+def test_records_built_per_tube_query(monkeypatch):
+    """One tube query (as the tube workload makes it) builds one RadiusProfile
+    and one HydraulicResistance; the float-valued relations build none."""
+    built = collections.Counter()
+    for cls in record_classes():
+        if "__init__" in cls.__dict__:
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built[type(self).__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+
+    def taken():
+        counts = dict(built)
+        built.clear()
+        return counts
+
+    fluid = Fluid(1e-3)
+    for kind in ShapeKind:
+        taken()
+        profile = make_profile(kind, 1e-3, 1e-3 if kind is ShapeKind.STRAIGHT else 2e-3, 0.1)
+        assert taken() == {"RadiusProfile": 1}
+        pressure_drop(profile, 1e-9, fluid)
+        assert taken() == {}
+        hydraulic_resistance(profile, fluid)
+        assert taken() == {"HydraulicResistance": 1}
+        flow_rate(profile, 1.0, fluid)
+        assert taken() == {}
+        equivalent_radius(profile)
+        assert taken() == {}
