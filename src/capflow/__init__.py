@@ -36,6 +36,7 @@ from .errors import (
     StraightRadiusMismatchError,
     TooFewSamplesError,
     TooManySamplesError,
+    UnknownShapeError,
 )
 from .geometry import (
     CORRUGATED,
@@ -108,6 +109,7 @@ __all__ = [
     "NonPositiveRadiusError",
     "RadiusOrderError",
     "StraightRadiusMismatchError",
+    "UnknownShapeError",
     "NonPositiveLengthError",
     "NonPositiveViscosityError",
     "OutOfDomainError",

@@ -1,13 +1,15 @@
 """The shared base of capflow's immutable value records.
 
-A record is a slotted class whose fields are its ``__slots__`` (a subclass
-adds its own after its base's).  It behaves as a frozen dataclass with
-``eq=True`` would: it equals only a record of the same class with equal
-fields, it hashes as the tuple of its fields, its repr is
-``Name(field=value, ...)``, and assigning or deleting a field raises
-AttributeError.  Each record's ``__init__`` validates its arguments and
+A record is a slotted class whose fields are its public ``__slots__`` (a
+subclass adds its own after its base's).  A private slot (a name starting
+with ``_``) is derived: ``__init__`` computes it from the fields, and it
+takes no part in equality, hashing, repr or pickling.  A record behaves
+as a frozen dataclass with ``eq=True`` would: it equals only a record of
+the same class with equal fields, it hashes as the tuple of its fields,
+its repr is ``Name(field=value, ...)``, and assigning or deleting a field
+raises AttributeError.  Each record's ``__init__`` validates its arguments and
 stores them through its class's ``_setters``; pickling and copying rebuild
-a record through that ``__init__``.
+a record, derived slots included, through that ``__init__``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields = cls._fields + tuple(name for name in slots if not name.startswith("_"))
         # Each field's slot setter, in _fields order, bound once per class.  It
         # stores past the record's own __setattr__, which refuses every write,
         # at about half the cost of object.__setattr__.

@@ -10,11 +10,12 @@ familiar P = 8 Q mu L / (pi R^4).  Every profile has a closed form
 I = L F(d) / r_min^4, with d = (r_max - r_min)/r_min and the dimensionless
 F(d) in (0, 1] of the profile's entry in ``geometry._SHAPES`` (see the
 ``geometry`` docstring for the table; F = 1 at d = 0, so each reduces to
-L/R^4).  The scaling L/r_min^4 is applied once, through frexp/ldexp, so
-only I itself is rounded into the double range; the quadrature oracle
-scales its integral of F the same way.  The resistance factors as
-P/Q = mu * G with the fluid-independent geometric factor G = (8/pi) I
-(units 1/m^3).
+L/R^4).  The profile evaluated its F once, when it was built; the closed
+forms read that value.  The scaling L/r_min^4 is applied once, through
+frexp/ldexp, so only I itself is rounded into the double range; the
+quadrature oracle scales its integral of F the same way.  The resistance
+factors as P/Q = mu * G with the fluid-independent geometric factor
+G = (8/pi) I (units 1/m^3).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     GeometryRangeError,
     NonPositiveViscosityError,
 )
-from .geometry import _INF, _STRAIGHT, RadiusProfile, _dimensionless, _range_error, make_profile
+from .geometry import _INF, _STRAIGHT, RadiusProfile, _range_error, _ratio_range_error, make_profile
 
 __all__ = [
     "Fluid",
@@ -122,8 +123,10 @@ def inverse_r4_integral(profile: RadiusProfile) -> float:
     Raises GeometryRangeError when I, or r_max/r_min, is no positive
     finite double; a subnormal I is returned.
     """
-    shape, d = _dimensionless(profile)
-    return _integral(profile, shape.F(d), "closed-form")
+    f = profile._f
+    if f is None:
+        raise _ratio_range_error(profile)
+    return _integral(profile, f, "closed-form")
 
 
 def poiseuille_pressure_drop(radius: float, length: float, flow_rate: float, fluid: Fluid) -> float:
@@ -205,6 +208,8 @@ def equivalent_radius(profile: RadiusProfile) -> float:
     root arithmetic can drift on degenerate profiles.  Raises
     GeometryRangeError only when r_max/r_min exceeds the double range.
     """
-    shape, d = _dimensionless(profile)
-    r_eq = profile.r_min * shape.F(d) ** -0.25
+    f = profile._f
+    if f is None:
+        raise _ratio_range_error(profile)
+    r_eq = profile.r_min * f ** -0.25
     return min(max(r_eq, profile.r_min), profile.r_max)

@@ -2,7 +2,10 @@
 
 Every domain error derives from :class:`CapillaryFlowError` and, where it
 signals a bad input value, also from :class:`ValueError`, so callers can
-catch either the package hierarchy or the builtin one.
+catch either the package hierarchy or the builtin one.  An input that is
+no number at all, given to ``RadiusProfile``, ``make_profile`` or another
+constructor, raises the error of a bad value of that input; a profile
+kind that is no ``ShapeKind`` raises :class:`UnknownShapeError`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ class NonPositiveLengthError(CapillaryFlowError, ValueError):
 
 class NonPositiveViscosityError(CapillaryFlowError, ValueError):
     """A fluid viscosity was zero, negative, NaN or infinite, or not a number at all."""
+
+
+class UnknownShapeError(CapillaryFlowError, ValueError):
+    """A profile's kind was no ``ShapeKind``: a shape token string, None or any other value."""
 
 
 class OutOfDomainError(CapillaryFlowError, ValueError):

@@ -23,7 +23,10 @@ near 0.  All quantities are SI (metres).
 The private table ``_SHAPES`` is the only home of rho and F: the samplers
 here compute r from rho, the closed forms of ``analytic`` are F, and the
 oracle of ``quadrature`` integrates rho, all over Python floats through
-``math``.  The samplers (``radius_at``, ``radius_array``,
+``math``.  A ``RadiusProfile`` evaluates its F(d) once, when it is built,
+and keeps it in a derived slot (no field: it takes no part in equality,
+repr or pickling); every closed form reads that value, and no other code
+evaluates F.  The samplers (``radius_at``, ``radius_array``,
 ``sample_profile``) check the domain, return r_max itself at x = +-L/2 and
 clamp rho's few-ulp drift into [r_min, r_max]; the oracle uses rho bare.
 """
@@ -44,6 +47,7 @@ from .errors import (
     StraightRadiusMismatchError,
     TooFewSamplesError,
     TooManySamplesError,
+    UnknownShapeError,
 )
 
 __all__ = [
@@ -98,10 +102,14 @@ class RadiusProfile(_Record):
 
     For ``ShapeKind.STRAIGHT`` the two radii must be equal.  ``r_min ==
     r_max`` is allowed for every kind and degenerates cleanly to a
-    constant radius.
+    constant radius.  A kind that is no ``ShapeKind`` raises
+    UnknownShapeError, checked after the radii and the length.
+
+    The derived slot ``_f`` holds F(d) of the shape, evaluated here once
+    for the closed forms, or None where d exceeds the double range.
     """
 
-    __slots__ = ("kind", "r_min", "r_max", "length")
+    __slots__ = ("kind", "r_min", "r_max", "length", "_f")
 
     def __init__(self, kind: ShapeKind, r_min: float, r_max: float, length: float):
         # Each rule is one comparison, which NaN fails too; the first broken one names the error.
@@ -132,24 +140,54 @@ class RadiusProfile(_Record):
             raise StraightRadiusMismatchError(
                 f"a straight tube needs r_min == r_max (got {r_min!r} and {r_max!r})"
             )
+        try:
+            f = _SHAPES[kind].F
+        except (KeyError, TypeError):  # TypeError: an unhashable kind
+            names = ", ".join(shape.value for shape in ShapeKind)
+            raise UnknownShapeError(f"kind must be a ShapeKind ({names}), got {kind!r}") from None
+        d = _excess(r_min, r_max)
         set_kind, set_r_min, set_r_max, set_length = self._setters
         set_kind(self, kind)
         set_r_min(self, r_min)
         set_r_max(self, r_max)
         set_length(self, length)
+        _set_f(self, f(d) if d < _INF else None)
 
     @property
     def half_length(self) -> float:
         return 0.5 * self.length
 
 
+# The derived slot's setter, bound once as the fields' setters are.
+_set_f = RadiusProfile._f.__set__
+
+
+def _excess(r_min: float, r_max: float) -> float:
+    """d = (r_max - r_min)/r_min; inf where it exceeds the double range."""
+    return (r_max - r_min) / r_min
+
+
 def make_profile(kind: ShapeKind, r_min: float, r_max: float, length: float) -> RadiusProfile:
-    """Validate and build a profile.
+    """Validate and build a profile from numbers or numeric strings.
 
     Raises NonPositiveRadiusError, RadiusOrderError, NonPositiveLengthError,
-    or StraightRadiusMismatchError on bad inputs.
+    StraightRadiusMismatchError or UnknownShapeError on bad inputs, in
+    ``RadiusProfile``'s order; a value that is no number fails the rule of
+    its own input.
     """
-    return RadiusProfile(kind, float(r_min), float(r_max), float(length))
+    try:
+        r_min, r_max, length = float(r_min), float(r_max), float(length)
+    except (TypeError, ValueError):
+        # Pass each value float() refuses on as it is: RadiusProfile's checks name it.
+        r_min, r_max, length = [_float_or_raw(value) for value in (r_min, r_max, length)]
+    return RadiusProfile(kind, r_min, r_max, length)
+
+
+def _float_or_raw(value):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return value
 
 
 # ln 2: arccosh(z) = ln(2z) to double precision once z^2 overflows.
@@ -261,15 +299,20 @@ _SHAPES = {
 
 
 def _dimensionless(profile: RadiusProfile) -> tuple[_Shape, float]:
-    """The profile's table entry and its d = (r_max - r_min)/r_min.
+    """The profile's table entry and its d = (r_max - r_min)/r_min, for rho.
 
     Raises GeometryRangeError when d, and with it r_max/r_min, exceeds the
     double range.
     """
-    d = (profile.r_max - profile.r_min) / profile.r_min
+    d = _excess(profile.r_min, profile.r_max)
     if d == math.inf:
-        raise _range_error(profile, "r_max/r_min exceeds the double range")
+        raise _ratio_range_error(profile)
     return _SHAPES[profile.kind], d
+
+
+def _ratio_range_error(profile: RadiusProfile) -> GeometryRangeError:
+    """The error of a profile whose d, and with it r_max/r_min, exceeds the double range."""
+    return _range_error(profile, "r_max/r_min exceeds the double range")
 
 
 def _range_error(profile: RadiusProfile, problem: str) -> GeometryRangeError:

@@ -23,6 +23,7 @@ from capflow import (
     StraightRadiusMismatchError,
     TooFewSamplesError,
     TooManySamplesError,
+    UnknownShapeError,
     make_profile,
     radius_array,
     radius_at,
@@ -89,6 +90,50 @@ class TestMakeProfile:
         args = {"kind": ShapeKind.CONICAL, "r_min": 1e-3, "r_max": 2e-3, "length": 0.1, field: value}
         with pytest.raises(error, match=f"^{field} must be a positive finite length, got {re.escape(repr(value))}$"):
             RadiusProfile(**args)
+
+    @pytest.mark.parametrize("value", [None, "abc"])
+    @pytest.mark.parametrize(
+        "field,error",
+        [("r_min", NonPositiveRadiusError), ("r_max", NonPositiveRadiusError), ("length", NonPositiveLengthError)],
+    )
+    def test_make_profile_non_number_is_typed(self, field, error, value):
+        args = {"r_min": 1e-3, "r_max": 2e-3, "length": 0.1, field: value}
+        with pytest.raises(error, match=f"^{field} must be a positive finite length, got {re.escape(repr(value))}$"):
+            make_profile(ShapeKind.CONICAL, **args)
+
+    def test_make_profile_numeric_strings(self):
+        p = make_profile(ShapeKind.CONICAL, "1e-3", "2e-3", "0.1")
+        assert p == make_profile(ShapeKind.CONICAL, 1e-3, 2e-3, 0.1)
+        assert type(p.r_min) is type(p.r_max) is type(p.length) is float
+
+    def test_make_profile_names_the_first_non_number(self):
+        # The numeric strings beside a non-number are still converted, so only the non-number breaks a rule.
+        with pytest.raises(NonPositiveRadiusError, match="^r_max must be a positive finite length, got None$"):
+            make_profile(ShapeKind.CONICAL, "1e-3", None, "0.1")
+        with pytest.raises(NonPositiveRadiusError, match="^r_min must be a positive finite length, got 'abc'$"):
+            make_profile(ShapeKind.CONICAL, "abc", None, "x")
+        with pytest.raises(RadiusOrderError):
+            make_profile(ShapeKind.CONICAL, "2e-3", "1e-3", None)
+
+    @pytest.mark.parametrize("kind", ["conical", None, 3, [1]], ids=["str", "None", "int", "list"])
+    def test_unknown_kind_is_typed(self, kind):
+        names = "straight, conical, parabolic, hyperbolic, cosh, sinusoidal"
+        message = f"^kind must be a ShapeKind \\({names}\\), got {re.escape(repr(kind))}$"
+        for build in (make_profile, RadiusProfile):
+            with pytest.raises(UnknownShapeError, match=message) as caught:
+                build(kind, 1e-3, 2e-3, 0.1)
+            assert isinstance(caught.value, CapillaryFlowError) and isinstance(caught.value, ValueError)
+
+    def test_unknown_kind_is_checked_last(self):
+        # Every input that broke a rule while the kind went unchecked still raises that rule's error.
+        with pytest.raises(NonPositiveRadiusError, match="^r_min "):
+            RadiusProfile("conical", -1e-3, 2e-3, 0.1)
+        with pytest.raises(NonPositiveRadiusError, match="^r_max "):
+            RadiusProfile(None, 1e-3, math.nan, 0.1)
+        with pytest.raises(RadiusOrderError):
+            RadiusProfile([1], 2e-3, 1e-3, 0.1)
+        with pytest.raises(NonPositiveLengthError):
+            make_profile("straight", 1e-3, 2e-3, None)
 
 
 def canonical_f(token):
