@@ -29,7 +29,7 @@ from .errors import (
     GeometryRangeError,
     NonPositiveViscosityError,
 )
-from .geometry import _INF, _STRAIGHT, RadiusProfile, _range_error, _ratio_range_error, make_profile
+from .geometry import _INF, _MAX, _STRAIGHT, RadiusProfile, _range_error, _ratio_range_error, make_profile
 
 __all__ = [
     "Fluid",
@@ -49,7 +49,7 @@ class Fluid(_Record):
 
     def __init__(self, viscosity: float):
         try:
-            valid = viscosity > 0.0 and math.isfinite(viscosity)
+            valid = 0.0 < viscosity <= _MAX
         except TypeError:  # not a number
             valid = False
         if not valid:
@@ -57,8 +57,11 @@ class Fluid(_Record):
         self._setters[0](self, viscosity)
 
 
-def _flow_range_error(quantity: str, value: float, **inputs: float) -> FlowRangeError:
+def _flow_range_error(quantity: str, value: float | None, **inputs: float) -> FlowRangeError:
+    """The error of a flow quantity that is no finite double; its value None where the arithmetic overflowed."""
     given = ", ".join(f"{name}={v!r}" for name, v in inputs.items())
+    if value is None:
+        return FlowRangeError(f"{quantity} is not a finite double for {given}: an input exceeds the double range")
     return FlowRangeError(f"{quantity} {value!r} is not a finite double for {given}")
 
 
@@ -78,7 +81,12 @@ class HydraulicResistance(_Record):
 
     def pressure_drop(self, flow_rate: float) -> float:
         """P = resistance * Q, in Pa; FlowRangeError unless finite."""
-        value = self.resistance * flow_rate
+        try:
+            value = self.resistance * flow_rate
+        except OverflowError:  # an int beyond the double range
+            raise _flow_range_error(
+                "pressure drop", None, resistance=self.resistance, flow_rate=flow_rate
+            ) from None
         if not math.isfinite(value):
             raise _flow_range_error("pressure drop", value, resistance=self.resistance, flow_rate=flow_rate)
         return value
@@ -90,7 +98,12 @@ class HydraulicResistance(_Record):
 
 def _flow_rate_of(resistance: float, pressure_drop: float) -> float:
     """Q = P / resistance for a given resistance; FlowRangeError unless finite."""
-    value = pressure_drop / resistance
+    try:
+        value = pressure_drop / resistance
+    except OverflowError:  # an int beyond the double range
+        raise _flow_range_error(
+            "flow rate", None, resistance=resistance, pressure_drop=pressure_drop
+        ) from None
     if not math.isfinite(value):
         raise _flow_range_error("flow rate", value, resistance=resistance, pressure_drop=pressure_drop)
     return value
@@ -156,7 +169,12 @@ def pressure_drop(profile: RadiusProfile, flow_rate: float, fluid: Fluid) -> flo
 
 def _pressure_drop_of(integral: float, flow_rate: float, fluid: Fluid) -> float:
     """P = (8 Q mu / pi) * I for a given I; FlowRangeError unless finite."""
-    value = (8.0 * flow_rate * fluid.viscosity / math.pi) * integral
+    try:
+        value = (8.0 * flow_rate * fluid.viscosity / math.pi) * integral
+    except OverflowError:  # an int beyond the double range
+        raise _flow_range_error(
+            "pressure drop", None, flow_rate=flow_rate, viscosity=fluid.viscosity
+        ) from None
     if not math.isfinite(value):
         raise _flow_range_error("pressure drop", value, flow_rate=flow_rate, viscosity=fluid.viscosity)
     return value

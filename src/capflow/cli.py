@@ -15,7 +15,9 @@ round-trip exact.  Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error
 (any CapillaryFlowError, such as a closed form, network or sampled profile
-that leaves double range, and running out of memory), 3 I/O error.
+that leaves double range, and running out of memory), 3 I/O error.  As
+click does, exit 1 also follows ``Aborted!`` on KeyboardInterrupt or
+EOFError, and a closed stdout pipe (EPIPE).
 
 One table-driven parser on the standard library reads the command line.
 ``_COMMANDS`` declares each command's options once; the parse, the

@@ -56,9 +56,9 @@ class GeometryRangeError(CapillaryFlowError, ValueError):
 class FlowRangeError(CapillaryFlowError, ValueError):
     """A pressure drop, flow rate or resistance came out as no finite double.
 
-    Either an input was NaN, or the product or quotient of finite inputs
-    overflowed double precision; a resistance that underflows to 0 is out
-    of range too.
+    Either an input was NaN or beyond the double range (an int such as
+    10**400), or the product or quotient of finite inputs overflowed double
+    precision; a resistance that underflows to 0 is out of range too.
     """
 
 
@@ -75,8 +75,9 @@ class QuadratureInputError(CapillaryFlowError, ValueError):
 
     A tolerance (a non-number included) or depth limit of
     ``QuadratureConfig``, an empty or reversed interval of
-    ``adaptive_integrate``, or a trial count of ``verification_sweep`` that
-    is no integer of at least 1 or a seed that is no non-negative integer.
+    ``adaptive_integrate`` or one with a bound beyond the double range, or
+    a trial count of ``verification_sweep`` that is no integer of at least
+    1 or a seed that is no non-negative integer.
     """
 
 

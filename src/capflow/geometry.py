@@ -29,12 +29,18 @@ repr or pickling); every closed form reads that value, and no other code
 evaluates F.  The samplers (``radius_at``, ``radius_array``,
 ``sample_profile``) check the domain, return r_max itself at x = +-L/2 and
 clamp rho's few-ulp drift into [r_min, r_max]; the oracle uses rho bare.
+
+A valid geometry passes ``RadiusProfile``'s checks in one chained
+comparison; only a failing one runs the rules one by one, for the first
+broken rule's error.  "Finite" means at most the largest double, so an
+int beyond the double range (``10**400``) is refused as inf is.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ._record import _Record
@@ -87,10 +93,13 @@ class ShapeKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-# Bound once: reading ``ShapeKind.STRAIGHT`` or ``math.inf`` costs more than
-# the comparison that uses it, and every RadiusProfile reads both.
+# Bound once: reading ``ShapeKind.STRAIGHT``, ``math.inf`` or
+# ``sys.float_info.max`` costs more than the comparison that uses it, and
+# every RadiusProfile reads them.  A positive number, an int included, lies
+# in the double range iff it is <= _MAX; "< inf" lets the int 10**400 through.
 _STRAIGHT = ShapeKind.STRAIGHT
 _INF = math.inf
+_MAX = sys.float_info.max
 
 # Every shape except the straight baseline, in declaration order: the
 # shapes with a corrugation for the closed forms and the oracle to check.
@@ -112,30 +121,15 @@ class RadiusProfile(_Record):
     __slots__ = ("kind", "r_min", "r_max", "length", "_f")
 
     def __init__(self, kind: ShapeKind, r_min: float, r_max: float, length: float):
-        # Each rule is one comparison, which NaN fails too; the first broken one names the error.
-        # A non-number breaks the rule of its own input: its comparison raises TypeError.
+        # A valid geometry passes in one chained comparison, which NaN fails
+        # too; anything else, a non-number included, gets its first broken
+        # rule's error.
         try:
-            valid = 0.0 < r_min < _INF
+            valid = 0.0 < r_min <= r_max <= _MAX and 0.0 < length <= _MAX
         except TypeError:
             valid = False
         if not valid:
-            raise NonPositiveRadiusError(f"r_min must be a positive finite length, got {r_min!r}")
-        try:
-            valid = -_INF < r_max < _INF
-        except TypeError:
-            valid = False
-        if not valid:
-            raise NonPositiveRadiusError(f"r_max must be a positive finite length, got {r_max!r}")
-        if r_max < r_min:
-            raise RadiusOrderError(
-                f"r_max must not be smaller than r_min (got r_max={r_max!r} < r_min={r_min!r})"
-            )
-        try:
-            valid = 0.0 < length < _INF
-        except TypeError:
-            valid = False
-        if not valid:
-            raise NonPositiveLengthError(f"length must be a positive finite length, got {length!r}")
+            _check_geometry(r_min, r_max, length)
         if kind is _STRAIGHT and r_max != r_min:
             raise StraightRadiusMismatchError(
                 f"a straight tube needs r_min == r_max (got {r_min!r} and {r_max!r})"
@@ -146,11 +140,10 @@ class RadiusProfile(_Record):
             names = ", ".join(shape.value for shape in ShapeKind)
             raise UnknownShapeError(f"kind must be a ShapeKind ({names}), got {kind!r}") from None
         d = _excess(r_min, r_max)
-        set_kind, set_r_min, set_r_max, set_length = self._setters
-        set_kind(self, kind)
-        set_r_min(self, r_min)
-        set_r_max(self, r_max)
-        set_length(self, length)
+        _set_kind(self, kind)
+        _set_r_min(self, r_min)
+        _set_r_max(self, r_max)
+        _set_length(self, length)
         _set_f(self, f(d) if d < _INF else None)
 
     @property
@@ -158,8 +151,40 @@ class RadiusProfile(_Record):
         return 0.5 * self.length
 
 
-# The derived slot's setter, bound once as the fields' setters are.
+# The slot setters, bound once: the fields' in _fields order, then the derived one.
+_set_kind, _set_r_min, _set_r_max, _set_length = RadiusProfile._setters
 _set_f = RadiusProfile._f.__set__
+
+
+def _check_geometry(r_min, r_max, length) -> None:
+    """Raise the error of the first geometry rule broken, in RadiusProfile's order.
+
+    Each rule is one comparison, which NaN fails too.  A non-number breaks
+    the rule of its own input: its comparison raises TypeError.  A number
+    beyond the largest double, such as an int, is not finite.
+    """
+    try:
+        valid = 0.0 < r_min <= _MAX
+    except TypeError:
+        valid = False
+    if not valid:
+        raise NonPositiveRadiusError(f"r_min must be a positive finite length, got {r_min!r}")
+    try:
+        valid = -_INF < r_max <= _MAX
+    except TypeError:
+        valid = False
+    if not valid:
+        raise NonPositiveRadiusError(f"r_max must be a positive finite length, got {r_max!r}")
+    if r_max < r_min:
+        raise RadiusOrderError(
+            f"r_max must not be smaller than r_min (got r_max={r_max!r} < r_min={r_min!r})"
+        )
+    try:
+        valid = 0.0 < length <= _MAX
+    except TypeError:
+        valid = False
+    if not valid:
+        raise NonPositiveLengthError(f"length must be a positive finite length, got {length!r}")
 
 
 def _excess(r_min: float, r_max: float) -> float:
@@ -177,8 +202,9 @@ def make_profile(kind: ShapeKind, r_min: float, r_max: float, length: float) -> 
     """
     try:
         r_min, r_max, length = float(r_min), float(r_max), float(length)
-    except (TypeError, ValueError):
-        # Pass each value float() refuses on as it is: RadiusProfile's checks name it.
+    except (TypeError, ValueError, OverflowError):
+        # Pass each value float() refuses on as it is: RadiusProfile's checks
+        # name it (an int beyond the double range is not finite).
         r_min, r_max, length = [_float_or_raw(value) for value in (r_min, r_max, length)]
     return RadiusProfile(kind, r_min, r_max, length)
 
@@ -186,7 +212,7 @@ def make_profile(kind: ShapeKind, r_min: float, r_max: float, length: float) -> 
 def _float_or_raw(value):
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return value
 
 

@@ -12,6 +12,9 @@ would need a linear solver and are out of scope.
 A network spec is a JSON document of such a tree (the format ``capflow
 network`` reads): ``parse_network_text`` builds the elements from its
 text, and reports every problem as a NetworkSpecError at a document path.
+The build consumes the decoded document, freeing each node once its
+element exists, so a parse peaks at the JSON decoder's own peak and never
+holds the document and the tree at once.
 """
 
 from __future__ import annotations
@@ -189,17 +192,25 @@ def _spec_number(node: dict, key: str, frame) -> float:
     raise _spec_error(f'"{key}" is outside the double range, got {value!r}', frame)
 
 
+def _tube_keys_error(node: dict, frame) -> NetworkSpecError:
+    """The error of a tube node whose keys are not exactly _TUBE_KEYS: a missing key first."""
+    for key in ("shape", "rmin", "rmax", "length"):
+        if key not in node:
+            return _spec_error(f'tube node missing "{key}"', frame)
+    return _spec_error(f'unknown key "{min(node.keys() - _TUBE_KEYS)}" in tube node', frame)
+
+
 def _tube(node: dict, frame) -> Tube:
-    if node.keys() != _TUBE_KEYS:
-        for key in ("shape", "rmin", "rmax", "length"):
-            if key not in node:
-                raise _spec_error(f'tube node missing "{key}"', frame)
-        raise _spec_error(f'unknown key "{min(node.keys() - _TUBE_KEYS)}" in tube node', frame)
-    shape = node["shape"]
+    # The node has "type", so five keys that include these four are exactly _TUBE_KEYS.
+    if len(node) != 5:
+        raise _tube_keys_error(node, frame)
+    try:
+        shape, rmin, rmax, length = node["shape"], node["rmin"], node["rmax"], node["length"]
+    except KeyError:
+        raise _tube_keys_error(node, frame) from None
     kind = _TOKEN_TO_KIND.get(shape) if type(shape) is str else None
     if kind is None:
         raise _spec_error(f'unknown shape {shape!r}; valid: {", ".join(_TOKEN_TO_KIND)}', frame)
-    rmin, rmax, length = node["rmin"], node["rmax"], node["length"]
     if not (type(rmin) is type(rmax) is type(length) is float):
         rmin, rmax, length = [_spec_number(node, key, frame) for key in ("rmin", "rmax", "length")]
     try:
@@ -208,20 +219,24 @@ def _tube(node: dict, frame) -> Tube:
         raise _spec_error(f"{type(exc).__name__}: {exc}", frame) from exc
 
 
-def _build_network(doc) -> NetworkElement:
-    """The element tree of a decoded spec, by one walk with an explicit stack.
+def _build_network(nodes: list) -> NetworkElement:
+    """The element tree of a decoded spec, given as the one-element list of its root.
 
-    Nodes are checked in document order, each before its children, so the
-    first problem in the document is the one reported.
+    One walk with an explicit stack.  Nodes are checked in document order,
+    each before its children, so the first problem in the document is the
+    one reported.  The walk consumes the document: it takes each node out
+    of its list as it reaches it, so a tube's dict is freed as soon as its
+    Tube exists, and the decoded document and the tree are never both held.
     """
-    # A frame is (factory, remaining JSON elements, children built so far,
-    # enclosing frame); the document sits alone in a root frame, which has
-    # no enclosing one.
-    stack = [(None, iter((doc,)), [], None)]
+    # A frame is (factory, the JSON elements not yet taken in reverse order,
+    # children built so far, enclosing frame); the root sits alone in a root
+    # frame, which has no enclosing one.
+    stack = [(None, nodes, [], None)]
     while True:
         frame = stack[-1]
         build, remaining, children, enclosing = frame
-        for node in remaining:
+        while remaining:
+            node = remaining.pop()
             if type(node) is not dict:
                 raise _spec_error(f"expected an object, got {type(node).__name__}", frame)
             if "type" not in node:
@@ -244,7 +259,8 @@ def _build_network(doc) -> NetworkElement:
             elements = node["elements"]
             if type(elements) is not list:
                 raise _spec_error('"elements" must be an array', frame)
-            stack.append((factory, iter(elements), [], frame))
+            elements.reverse()
+            stack.append((factory, elements, [], frame))
             break
         else:
             # Every child of this frame is built.
@@ -270,15 +286,16 @@ def parse_network_text(text: str) -> NetworkElement:
 
     try:
         # An integer literal longer than int() converts stays text, so that
-        # the node holding it reports it as outside the double range.
-        doc = json.loads(text, parse_int=_integer)
+        # the node holding it reports it as outside the double range.  The
+        # list is the document's only holder, so the build can consume it.
+        nodes = [json.loads(text, parse_int=_integer)]
     except json.JSONDecodeError as exc:
         raise NetworkSpecError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
         ) from exc
     except RecursionError as exc:
         raise NetworkSpecError("nesting too deep to parse", "$") from exc
-    return _build_network(doc)
+    return _build_network(nodes)
 
 
 def _read_spec(path: str) -> str:

@@ -38,7 +38,7 @@ from ._pcg64 import Generator
 from ._record import _Record
 from .analytic import Fluid, _integral, _pressure_drop_of, pressure_drop
 from .errors import NotConvergedError, QuadratureInputError
-from .geometry import _STRAIGHT, RadiusProfile, ShapeKind, _dimensionless, make_profile
+from .geometry import _MAX, _STRAIGHT, RadiusProfile, ShapeKind, _dimensionless, make_profile
 
 # Not used here since the oracle integrates rho, but kept as a module
 # attribute: the traced verify pass of perfbench swaps it together
@@ -123,13 +123,13 @@ class QuadratureConfig(_Record):
     def __init__(self, rel_tol: float = 1e-10, abs_tol: float = 0.0, max_depth: int = 48):
         # A non-number fails its own check: its comparison raises TypeError.
         try:
-            valid = rel_tol > 0.0 and math.isfinite(rel_tol)
+            valid = 0.0 < rel_tol <= _MAX
         except TypeError:
             valid = False
         if not valid:
             raise QuadratureInputError(f"rel_tol must be positive and finite, got {rel_tol!r}")
         try:
-            valid = abs_tol >= 0.0 and math.isfinite(abs_tol)
+            valid = 0.0 <= abs_tol <= _MAX
         except TypeError:
             valid = False
         if not valid:
@@ -266,10 +266,14 @@ def adaptive_integrate(
     ``fn`` must map a float position to a float integrand value.  The
     value and error estimate are the correctly rounded sums
     (``math.fsum``) of the panels' contributions, so the result is
-    deterministic.
+    deterministic.  Raises QuadratureInputError unless upper > lower, and
+    when a bound is a number beyond the double range.
     """
-    lower = float(lower)
-    upper = float(upper)
+    try:
+        lower = float(lower)
+        upper = float(upper)
+    except OverflowError:
+        raise QuadratureInputError(f"a bound exceeds the double range, got [{lower!r}, {upper!r}]") from None
     if not (upper > lower):
         raise QuadratureInputError(f"need upper > lower, got [{lower!r}, {upper!r}]")
     return QuadratureResult(*_integrate(fn, [lower, upper], config.rel_tol, config.abs_tol, config.max_depth))

@@ -3,7 +3,8 @@ error, and never a warning.
 
 Hypothesis draws radii and lengths from all positive doubles, and flows,
 pressures, viscosities and positions from all doubles, NaN and the
-infinities included.  Each call below must return a finite answer or raise
+infinities included; each numeric argument is also given +-10**400, an int
+beyond the double range.  Each call below must return a finite answer or raise
 a CapillaryFlowError while warnings are errors.  The oracle must also stay
 within 20 000 integrand evaluations, a converged oracle result must agree
 with a finite closed form within 1e-12, and a sampled radius must lie in
@@ -21,10 +22,14 @@ from hypothesis import given, settings
 from capflow import (
     CapillaryFlowError,
     Fluid,
+    HydraulicResistance,
     Parallel,
+    QuadratureConfig,
+    RadiusProfile,
     Series,
     ShapeKind,
     Tube,
+    adaptive_integrate,
     equivalent_radius,
     flow_rate,
     hydraulic_resistance,
@@ -35,6 +40,7 @@ from capflow import (
     network_pressure_drop,
     network_resistance,
     numeric_pressure_drop,
+    poiseuille_pressure_drop,
     pressure_drop,
     radius_array,
     radius_at,
@@ -141,3 +147,42 @@ def test_networks(network, viscosity, given_value):
     ):
         value = outcome(call)
         assert value is None or math.isfinite(value)
+
+
+# Each numeric argument of each entry point, set to an int beyond the double
+# range while the others stay valid.
+CONICAL = make_profile(ShapeKind.CONICAL, 1e-3, 2e-3, 0.1)
+WATER = Fluid(1e-3)
+NETWORK = Series([Tube(CONICAL), Parallel([Tube(CONICAL), Tube(CONICAL)])])
+BEYOND_DOUBLE = {
+    "RadiusProfile.r_min": lambda v: RadiusProfile(ShapeKind.CONICAL, v, 2e-3, 0.1).r_min,
+    "RadiusProfile.r_max": lambda v: RadiusProfile(ShapeKind.CONICAL, 1e-3, v, 0.1).r_max,
+    "RadiusProfile.length": lambda v: RadiusProfile(ShapeKind.CONICAL, 1e-3, 2e-3, v).length,
+    "make_profile.r_min": lambda v: make_profile(ShapeKind.CONICAL, v, 2e-3, 0.1).r_min,
+    "make_profile.r_max": lambda v: make_profile(ShapeKind.CONICAL, 1e-3, v, 0.1).r_max,
+    "make_profile.length": lambda v: make_profile(ShapeKind.CONICAL, 1e-3, 2e-3, v).length,
+    "poiseuille_pressure_drop.radius": lambda v: poiseuille_pressure_drop(v, 0.1, 1e-9, WATER),
+    "poiseuille_pressure_drop.length": lambda v: poiseuille_pressure_drop(1e-3, v, 1e-9, WATER),
+    "poiseuille_pressure_drop.flow_rate": lambda v: poiseuille_pressure_drop(1e-3, 0.1, v, WATER),
+    "Fluid": lambda v: Fluid(v).viscosity,
+    "QuadratureConfig.rel_tol": lambda v: QuadratureConfig(rel_tol=v).rel_tol,
+    "QuadratureConfig.abs_tol": lambda v: QuadratureConfig(abs_tol=v).abs_tol,
+    "pressure_drop": lambda v: pressure_drop(CONICAL, v, WATER),
+    "flow_rate": lambda v: flow_rate(CONICAL, v, WATER),
+    "numeric_pressure_drop": lambda v: numeric_pressure_drop(CONICAL, v, WATER),
+    "HydraulicResistance.pressure_drop": lambda v: hydraulic_resistance(CONICAL, WATER).pressure_drop(v),
+    "HydraulicResistance.flow_rate": lambda v: hydraulic_resistance(CONICAL, WATER).flow_rate(v),
+    "network_pressure_drop": lambda v: network_pressure_drop(NETWORK, v, WATER),
+    "network_flow_rate": lambda v: network_flow_rate(NETWORK, v, WATER),
+    "adaptive_integrate.lower": lambda v: adaptive_integrate(lambda x: 1.0, v, 1.0).value,
+    "adaptive_integrate.upper": lambda v: adaptive_integrate(lambda x: 1.0, 0.0, v).value,
+    "radius_at": lambda v: radius_at(CONICAL, v),
+    "sample_profile": lambda v: len(sample_profile(CONICAL, v)),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("name", sorted(BEYOND_DOUBLE))
+def test_int_beyond_the_double_range(name, sign):
+    value = outcome(lambda: BEYOND_DOUBLE[name](sign * 10**400))
+    assert value is None or math.isfinite(value)

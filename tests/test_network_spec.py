@@ -7,6 +7,7 @@ explicit-stack one replaced; every check and message is meant to be the same.
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ BAD_NODES = {
     "missing_shape": tube(shape=None),
     "missing_length": tube(length=None),
     "unknown_tube_key": dict(TUBE, colour="red", alpha=1),
+    "colour_for_length": tube(length=None, colour="red"),
     "unknown_shape": tube(shape="oval"),
     "string_radius": tube(rmin="wide"),
     "bool_length": tube(length=True),
@@ -73,6 +75,7 @@ MIXED_MESSAGES = {
     'missing_shape': '$.elements[1].elements[2].elements[3]: tube node missing "shape"',
     'missing_length': '$.elements[1].elements[2].elements[3]: tube node missing "length"',
     'unknown_tube_key': '$.elements[1].elements[2].elements[3]: unknown key "alpha" in tube node',
+    'colour_for_length': '$.elements[1].elements[2].elements[3]: tube node missing "length"',
     'unknown_shape': "$.elements[1].elements[2].elements[3]: unknown shape 'oval'; valid: straight, conical, parabolic, hyperbolic, cosh, sinusoidal",
     'string_radius': '$.elements[1].elements[2].elements[3]: "rmin" must be a number, got \'wide\'',
     'bool_length': '$.elements[1].elements[2].elements[3]: "length" must be a number, got True',
@@ -99,6 +102,7 @@ CHAIN_300_MESSAGES = {
     'missing_shape': ('tube node missing "shape"', 'fcc1aa6e54c96234d0c52f4831161d9b616d8884e66379742b02bf415b0b72b9'),
     'missing_length': ('tube node missing "length"', '3c2f7f7ddd07b2038bfb032fdbafe202a8dda8f70881fa9829c8dd4280a1e0f9'),
     'unknown_tube_key': ('unknown key "alpha" in tube node', 'd83496204a62eb25d8d5114caa97291a8b34392bbb9c1984232ab923888b46ad'),
+    'colour_for_length': ('tube node missing "length"', '3c2f7f7ddd07b2038bfb032fdbafe202a8dda8f70881fa9829c8dd4280a1e0f9'),
     'unknown_shape': ("unknown shape 'oval'; valid: straight, conical, parabolic, hyperbolic, cosh, sinusoidal", '892ab8620944f62dd63e30b4b04e095ecbbcd1b28fccca48913d06eeb23fe9d5'),
     'string_radius': ('"rmin" must be a number, got \'wide\'', '0fbfd61fe1e275de205a7a98d69bbb3547f93d47304b0da0f24e2e70a9249a5e'),
     'bool_length': ('"length" must be a number, got True', 'd4e06811808445cfa9b17ca89c0969961b2268025b8aa6635ee2b7caaa58f258'),
@@ -219,6 +223,28 @@ class TestTrees:
 
     def test_deeper_than_the_decoder_goes(self):
         assert spec_error("[" * 5000 + "]" * 5000) == "$: nesting too deep to parse"
+
+
+class TestMemory:
+    def test_parse_peaks_at_the_decoder(self):
+        # The build consumes the decoded document, so the parse holds at most
+        # a little of the tree beside it: a parse that kept the document until
+        # the tree is built would peak at the decoder's peak plus the tree.
+        text = json.dumps({"type": "parallel", "elements": [TUBE] * 20_000})
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            json.loads(text)
+            decoder_peak = tracemalloc.get_traced_memory()[1] - base
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tree = parse_network_text(text)
+            tree_size, parse_peak = [value - base for value in tracemalloc.get_traced_memory()]
+        finally:
+            tracemalloc.stop()
+        assert len(tree.elements) == 20_000
+        assert parse_peak - decoder_peak < tree_size / 4
 
 
 # --- fuzzing ----------------------------------------------------------------
