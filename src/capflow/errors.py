@@ -75,9 +75,9 @@ class QuadratureInputError(CapillaryFlowError, ValueError):
 
     A tolerance (a non-number included) or depth limit of
     ``QuadratureConfig``, an empty or reversed interval of
-    ``adaptive_integrate`` or one with a bound beyond the double range, or
-    a trial count of ``verification_sweep`` that is no integer of at least
-    1 or a seed that is no non-negative integer.
+    ``adaptive_integrate`` or one with an infinite bound or a bound beyond
+    the double range, or a trial count of ``verification_sweep`` that is
+    no integer of at least 1 or a seed that is no non-negative integer.
     """
 
 

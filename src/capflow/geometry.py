@@ -30,10 +30,10 @@ evaluates F.  The samplers (``radius_at``, ``radius_array``,
 ``sample_profile``) check the domain, return r_max itself at x = +-L/2 and
 clamp rho's few-ulp drift into [r_min, r_max]; the oracle uses rho bare.
 
-A valid geometry passes ``RadiusProfile``'s checks in one chained
-comparison; only a failing one runs the rules one by one, for the first
-broken rule's error.  "Finite" means at most the largest double, so an
-int beyond the double range (``10**400``) is refused as inf is.
+``RadiusProfile`` checks its rules one by one, each as one comparison,
+and raises the first broken rule's error.  "Finite" means at most the
+largest double, so an int beyond the double range (``10**400``) is
+refused as inf is.
 """
 
 from __future__ import annotations
@@ -121,15 +121,30 @@ class RadiusProfile(_Record):
     __slots__ = ("kind", "r_min", "r_max", "length", "_f")
 
     def __init__(self, kind: ShapeKind, r_min: float, r_max: float, length: float):
-        # A valid geometry passes in one chained comparison, which NaN fails
-        # too; anything else, a non-number included, gets its first broken
-        # rule's error.
+        # Each rule is one comparison, which NaN fails too; the first broken one names the error.
+        # A non-number breaks the rule of its own input: its comparison raises TypeError.
         try:
-            valid = 0.0 < r_min <= r_max <= _MAX and 0.0 < length <= _MAX
+            valid = 0.0 < r_min <= _MAX
         except TypeError:
             valid = False
         if not valid:
-            _check_geometry(r_min, r_max, length)
+            raise NonPositiveRadiusError(f"r_min must be a positive finite length, got {r_min!r}")
+        try:
+            valid = -_INF < r_max <= _MAX
+        except TypeError:
+            valid = False
+        if not valid:
+            raise NonPositiveRadiusError(f"r_max must be a positive finite length, got {r_max!r}")
+        if r_max < r_min:
+            raise RadiusOrderError(
+                f"r_max must not be smaller than r_min (got r_max={r_max!r} < r_min={r_min!r})"
+            )
+        try:
+            valid = 0.0 < length <= _MAX
+        except TypeError:
+            valid = False
+        if not valid:
+            raise NonPositiveLengthError(f"length must be a positive finite length, got {length!r}")
         if kind is _STRAIGHT and r_max != r_min:
             raise StraightRadiusMismatchError(
                 f"a straight tube needs r_min == r_max (got {r_min!r} and {r_max!r})"
@@ -154,37 +169,6 @@ class RadiusProfile(_Record):
 # The slot setters, bound once: the fields' in _fields order, then the derived one.
 _set_kind, _set_r_min, _set_r_max, _set_length = RadiusProfile._setters
 _set_f = RadiusProfile._f.__set__
-
-
-def _check_geometry(r_min, r_max, length) -> None:
-    """Raise the error of the first geometry rule broken, in RadiusProfile's order.
-
-    Each rule is one comparison, which NaN fails too.  A non-number breaks
-    the rule of its own input: its comparison raises TypeError.  A number
-    beyond the largest double, such as an int, is not finite.
-    """
-    try:
-        valid = 0.0 < r_min <= _MAX
-    except TypeError:
-        valid = False
-    if not valid:
-        raise NonPositiveRadiusError(f"r_min must be a positive finite length, got {r_min!r}")
-    try:
-        valid = -_INF < r_max <= _MAX
-    except TypeError:
-        valid = False
-    if not valid:
-        raise NonPositiveRadiusError(f"r_max must be a positive finite length, got {r_max!r}")
-    if r_max < r_min:
-        raise RadiusOrderError(
-            f"r_max must not be smaller than r_min (got r_max={r_max!r} < r_min={r_min!r})"
-        )
-    try:
-        valid = 0.0 < length <= _MAX
-    except TypeError:
-        valid = False
-    if not valid:
-        raise NonPositiveLengthError(f"length must be a positive finite length, got {length!r}")
 
 
 def _excess(r_min: float, r_max: float) -> float:

@@ -192,25 +192,17 @@ def _spec_number(node: dict, key: str, frame) -> float:
     raise _spec_error(f'"{key}" is outside the double range, got {value!r}', frame)
 
 
-def _tube_keys_error(node: dict, frame) -> NetworkSpecError:
-    """The error of a tube node whose keys are not exactly _TUBE_KEYS: a missing key first."""
-    for key in ("shape", "rmin", "rmax", "length"):
-        if key not in node:
-            return _spec_error(f'tube node missing "{key}"', frame)
-    return _spec_error(f'unknown key "{min(node.keys() - _TUBE_KEYS)}" in tube node', frame)
-
-
 def _tube(node: dict, frame) -> Tube:
-    # The node has "type", so five keys that include these four are exactly _TUBE_KEYS.
-    if len(node) != 5:
-        raise _tube_keys_error(node, frame)
-    try:
-        shape, rmin, rmax, length = node["shape"], node["rmin"], node["rmax"], node["length"]
-    except KeyError:
-        raise _tube_keys_error(node, frame) from None
+    if node.keys() != _TUBE_KEYS:
+        for key in ("shape", "rmin", "rmax", "length"):
+            if key not in node:
+                raise _spec_error(f'tube node missing "{key}"', frame)
+        raise _spec_error(f'unknown key "{min(node.keys() - _TUBE_KEYS)}" in tube node', frame)
+    shape = node["shape"]
     kind = _TOKEN_TO_KIND.get(shape) if type(shape) is str else None
     if kind is None:
         raise _spec_error(f'unknown shape {shape!r}; valid: {", ".join(_TOKEN_TO_KIND)}', frame)
+    rmin, rmax, length = node["rmin"], node["rmax"], node["length"]
     if not (type(rmin) is type(rmax) is type(length) is float):
         rmin, rmax, length = [_spec_number(node, key, frame) for key in ("rmin", "rmax", "length")]
     try:

@@ -266,14 +266,15 @@ def adaptive_integrate(
     ``fn`` must map a float position to a float integrand value.  The
     value and error estimate are the correctly rounded sums
     (``math.fsum``) of the panels' contributions, so the result is
-    deterministic.  Raises QuadratureInputError unless upper > lower, and
-    when a bound is a number beyond the double range.
+    deterministic.  Raises QuadratureInputError when a bound is infinite or
+    a number beyond the double range, and unless upper > lower.
     """
-    try:
-        lower = float(lower)
-        upper = float(upper)
-    except OverflowError:
-        raise QuadratureInputError(f"a bound exceeds the double range, got [{lower!r}, {upper!r}]") from None
+    # One comparison per bound refuses +-inf and an int such as 10**400 alike:
+    # Python compares ints with floats exactly.  NaN passes on to the order check.
+    if abs(lower) > _MAX or abs(upper) > _MAX:
+        raise QuadratureInputError(f"bounds must be finite, got [{lower!r}, {upper!r}]")
+    lower = float(lower)
+    upper = float(upper)
     if not (upper > lower):
         raise QuadratureInputError(f"need upper > lower, got [{lower!r}, {upper!r}]")
     return QuadratureResult(*_integrate(fn, [lower, upper], config.rel_tol, config.abs_tol, config.max_depth))

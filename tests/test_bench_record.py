@@ -39,8 +39,10 @@ def test_null_latency_and_failures_are_counted():
     assert (tube["failed"], tube["correct"]) == (1, False)
 
 
-def test_every_benchmark_workload_has_seeds():
+def test_benchmark_fixes_the_run_length_and_workloads():
+    seconds, workloads = bench_record.benchmark(os.path.join(os.path.dirname(PATH), os.pardir))
     with open(os.path.join(os.path.dirname(PATH), os.pardir, "BENCHMARK.json"), encoding="utf-8") as handle:
-        workloads = [w["name"] for w in json.load(handle)["workloads"]]
-    assert sorted(bench_record.SEEDS) == sorted(workloads)
-    assert all(len(seeds) >= 3 for seeds in bench_record.SEEDS.values())
+        spec = json.load(handle)
+    assert seconds == spec["run_seconds"]
+    assert workloads == [w["name"] for w in spec["workloads"]]
+    assert len(bench_record.SEEDS) >= 3

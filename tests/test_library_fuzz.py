@@ -150,7 +150,7 @@ def test_networks(network, viscosity, given_value):
 
 
 # Each numeric argument of each entry point, set to an int beyond the double
-# range while the others stay valid.
+# range or to an infinity while the others stay valid.
 CONICAL = make_profile(ShapeKind.CONICAL, 1e-3, 2e-3, 0.1)
 WATER = Fluid(1e-3)
 NETWORK = Series([Tube(CONICAL), Parallel([Tube(CONICAL), Tube(CONICAL)])])
@@ -181,8 +181,10 @@ BEYOND_DOUBLE = {
 }
 
 
-@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize(
+    "given", [10**400, -(10**400), math.inf, -math.inf], ids=["int-plus", "int-minus", "inf-plus", "inf-minus"]
+)
 @pytest.mark.parametrize("name", sorted(BEYOND_DOUBLE))
-def test_int_beyond_the_double_range(name, sign):
-    value = outcome(lambda: BEYOND_DOUBLE[name](sign * 10**400))
+def test_beyond_the_double_range(name, given):
+    value = outcome(lambda: BEYOND_DOUBLE[name](given))
     assert value is None or math.isfinite(value)

@@ -1,17 +1,19 @@
 """Record one BENCH file: the end-to-end metrics of a checkout over fixed seeds.
 
-    python3 tools/bench_record.py --checkout DIR --out bench/BENCH_<n>.json [--seconds 20]
+    python3 tools/bench_record.py --checkout DIR --out bench/BENCH_<n>.json
 
 Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in DIR, one process at a time, for each workload and each of its seeds in
-``SEEDS``, and reads each run's last stdout line.  Around each run it times
-``CALIBRATION_ROUNDS`` of a pure-Python loop that imports nothing of
-capflow, so that a host that slows down between two files shows in the
-file itself.  The file holds, per workload, each end-to-end metric's
-median, quartiles and run count, the ops attempted and failed, and the
-git sha of DIR (with ``dirty`` true when its ``src/`` or ``perfbench/``
-differs from that commit), the seeds, the load average before and after
-and the calibration median.
+in DIR, one process at a time, for each workload W and each seed S in
+``SEEDS``, and reads each run's last stdout line.  The workloads and the
+run length T are those of DIR's ``BENCHMARK.json`` (its ``workloads`` and
+``run_seconds``), so every file is recorded at the benchmark's own length.
+Around each run it times ``CALIBRATION_ROUNDS`` of a pure-Python loop that
+imports nothing of capflow, so that a host that slows down between two
+files shows in the file itself.  The file holds, per workload, each
+end-to-end metric's median, quartiles and run count, the ops attempted
+and failed, and the git sha of DIR (with ``dirty`` true when its ``src/``
+or ``perfbench/`` differs from that commit or holds untracked files), the
+seeds, the load average before and after and the calibration median.
 
 A BENCH file reads the benchmark; it is no gate.  A claim of a gain still
 comes from alternating parent/change runs.
@@ -27,14 +29,16 @@ import subprocess
 import sys
 from time import perf_counter
 
-# Fixed per workload, so that two files compare the same inputs.
-SEEDS = {
-    "cli": (11, 12, 13),
-    "tube": (21, 22, 23),
-    "network": (31, 32, 33),
-    "verify": (41, 42, 43),
-}
+# Fixed, so that two files compare the same inputs.
+SEEDS = (11, 12, 13)
 CALIBRATION_ROUNDS = 5
+
+
+def benchmark(checkout: str) -> tuple[float, list[str]]:
+    """The run length in seconds and the workload names that the checkout's BENCHMARK.json fixes."""
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    return spec["run_seconds"], [workload["name"] for workload in spec["workloads"]]
 
 
 def calibration_ms() -> float:
@@ -100,25 +104,25 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args()
 
     sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=args.checkout, capture_output=True,
                          text=True, check=True).stdout.strip()
-    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src", "perfbench"],
-                           cwd=args.checkout).returncode != 0
+    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"], cwd=args.checkout,
+                           capture_output=True, text=True, check=True).stdout != ""
+    seconds, workloads = benchmark(args.checkout)
     before = loadavg()
     calibration = [calibration_ms() for _ in range(CALIBRATION_ROUNDS)]
     results = {}
-    for workload, seeds in SEEDS.items():
-        for seed in seeds:
-            results.setdefault(workload, []).append(run(args.checkout, workload, seed, args.seconds))
+    for workload in workloads:
+        for seed in SEEDS:
+            results.setdefault(workload, []).append(run(args.checkout, workload, seed, seconds))
             calibration += [calibration_ms() for _ in range(CALIBRATION_ROUNDS)]
     record = {
         "sha": sha,
         "dirty": dirty,
-        "seconds": args.seconds,
-        "seeds": {workload: list(seeds) for workload, seeds in SEEDS.items()},
+        "seconds": seconds,
+        "seeds": list(SEEDS),
         "loadavg_before": before,
         "loadavg_after": loadavg(),
         "calibration_ms": quartiles(calibration),
