@@ -7,9 +7,13 @@ takes no part in equality, hashing, repr or pickling.  A record behaves
 as a frozen dataclass with ``eq=True`` would: it equals only a record of
 the same class with equal fields, it hashes as the tuple of its fields,
 its repr is ``Name(field=value, ...)``, and assigning or deleting a field
-raises AttributeError.  Each record's ``__init__`` validates its arguments and
-stores them through its class's ``_setters``; pickling and copying rebuild
-a record, derived slots included, through that ``__init__``.
+raises AttributeError.  A record that checks its arguments writes its own
+``__init__``, which validates them and stores them through its class's
+``_setters``; a record that validates nothing declares no ``__init__`` and
+gets one generated from its fields, taking them positionally or by name
+and storing each through its setter, compiled once per class as
+``collections.namedtuple`` compiles its ``__new__``.  Pickling and copying
+rebuild a record, derived slots included, through its ``__init__``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,14 @@ class _Record:
         # stores past the record's own __setattr__, which refuses every write,
         # at about half the cost of object.__setattr__.
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        # A record that inherits only object's __init__ validates nothing, so it
+        # gets a generated one; Series and Parallel keep _Composite's checks.
+        if cls.__init__ is object.__init__:
+            stores = "".join(f"\n    _set_{name}(self, {name})" for name in cls._fields)
+            namespace = {f"_set_{name}": setter for name, setter in zip(cls._fields, cls._setters)}
+            exec(f"def __init__(self, {', '.join(cls._fields)}):{stores}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -24,12 +24,10 @@ import math
 from math import frexp, ldexp
 
 from ._record import _Record
-from .errors import (
-    FlowRangeError,
-    GeometryRangeError,
-    NonPositiveViscosityError,
+from .errors import FlowRangeError, GeometryRangeError, NonPositiveViscosityError, _shown
+from .geometry import (
+    _INF, _STRAIGHT, RadiusProfile, _finite_above, _range_error, _ratio_range_error, make_profile,
 )
-from .geometry import _INF, _MAX, _STRAIGHT, RadiusProfile, _range_error, _ratio_range_error, make_profile
 
 __all__ = [
     "Fluid",
@@ -48,18 +46,14 @@ class Fluid(_Record):
     __slots__ = ("viscosity",)
 
     def __init__(self, viscosity: float):
-        try:
-            valid = 0.0 < viscosity <= _MAX
-        except TypeError:  # not a number
-            valid = False
-        if not valid:
-            raise NonPositiveViscosityError(f"viscosity must be positive and finite, got {viscosity!r}")
+        if not _finite_above(viscosity, 0.0):
+            raise NonPositiveViscosityError(f"viscosity must be positive and finite, got {_shown(viscosity)}")
         self._setters[0](self, viscosity)
 
 
 def _flow_range_error(quantity: str, value: float | None, **inputs: float) -> FlowRangeError:
     """The error of a flow quantity that is no finite double; its value None where the arithmetic overflowed."""
-    given = ", ".join(f"{name}={v!r}" for name, v in inputs.items())
+    given = ", ".join(f"{name}={_shown(v)}" for name, v in inputs.items())
     if value is None:
         return FlowRangeError(f"{quantity} is not a finite double for {given}: an input exceeds the double range")
     return FlowRangeError(f"{quantity} {value!r} is not a finite double for {given}")
@@ -73,11 +67,6 @@ class HydraulicResistance(_Record):
     """
 
     __slots__ = ("resistance", "geometric_factor")
-
-    def __init__(self, resistance: float, geometric_factor: float):
-        set_resistance, set_geometric_factor = self._setters
-        set_resistance(self, resistance)
-        set_geometric_factor(self, geometric_factor)
 
     def pressure_drop(self, flow_rate: float) -> float:
         """P = resistance * Q, in Pa; FlowRangeError unless finite."""

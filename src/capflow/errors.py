@@ -6,9 +6,21 @@ catch either the package hierarchy or the builtin one.  An input that is
 no number at all, given to ``RadiusProfile``, ``make_profile`` or another
 constructor, raises the error of a bad value of that input; a profile
 kind that is no ``ShapeKind`` raises :class:`UnknownShapeError`.
+
+A message shows an input as ``repr`` prints it (see ``_shown``); an int
+too long to print (more digits than ``sys.get_int_max_str_digits()``
+allows) is named, as ``<int too long to print>``, not shown.
 """
 
 from __future__ import annotations
+
+
+def _shown(value) -> str:
+    """An input as a message shows it: its repr, or its type named where repr cannot print it."""
+    try:
+        return repr(value)
+    except ValueError:  # an int, or a container of one, with too many digits
+        return f"<{type(value).__name__} too long to print>"
 
 
 class CapillaryFlowError(Exception):

@@ -44,9 +44,6 @@ class Tube(_Record):
 
     __slots__ = ("profile",)
 
-    def __init__(self, profile: RadiusProfile):
-        self._setters[0](self, profile)
-
 
 class _Composite(_Record):
     """A node of one or more elements; Series and Parallel differ only in how they compose."""

@@ -37,8 +37,8 @@ from typing import Callable, Sequence
 from ._pcg64 import Generator
 from ._record import _Record
 from .analytic import Fluid, _integral, _pressure_drop_of, pressure_drop
-from .errors import NotConvergedError, QuadratureInputError
-from .geometry import _MAX, _STRAIGHT, RadiusProfile, ShapeKind, _dimensionless, make_profile
+from .errors import NotConvergedError, QuadratureInputError, _shown
+from .geometry import _MAX, _STRAIGHT, RadiusProfile, ShapeKind, _dimensionless, _finite_above, make_profile
 
 # Not used here since the oracle integrates rho, but kept as a module
 # attribute: the traced verify pass of perfbench swaps it together
@@ -121,21 +121,12 @@ class QuadratureConfig(_Record):
     __slots__ = ("rel_tol", "abs_tol", "max_depth")
 
     def __init__(self, rel_tol: float = 1e-10, abs_tol: float = 0.0, max_depth: int = 48):
-        # A non-number fails its own check: its comparison raises TypeError.
-        try:
-            valid = 0.0 < rel_tol <= _MAX
-        except TypeError:
-            valid = False
-        if not valid:
-            raise QuadratureInputError(f"rel_tol must be positive and finite, got {rel_tol!r}")
-        try:
-            valid = 0.0 <= abs_tol <= _MAX
-        except TypeError:
-            valid = False
-        if not valid:
-            raise QuadratureInputError(f"abs_tol must be >= 0 and finite, got {abs_tol!r}")
-        if _integer(max_depth, f"max_depth must be an integer, got {max_depth!r}") < 1:
-            raise QuadratureInputError(f"max_depth must be >= 1, got {max_depth!r}")
+        if not _finite_above(rel_tol, 0.0):
+            raise QuadratureInputError(f"rel_tol must be positive and finite, got {_shown(rel_tol)}")
+        if not (abs_tol == 0.0 or _finite_above(abs_tol, 0.0)):
+            raise QuadratureInputError(f"abs_tol must be >= 0 and finite, got {_shown(abs_tol)}")
+        if _integer(max_depth, f"max_depth must be an integer, got {_shown(max_depth)}") < 1:
+            raise QuadratureInputError(f"max_depth must be >= 1, got {_shown(max_depth)}")
         set_rel_tol, set_abs_tol, set_max_depth = self._setters
         set_rel_tol(self, rel_tol)
         set_abs_tol(self, abs_tol)
@@ -159,13 +150,6 @@ class QuadratureResult(_Record):
     """
 
     __slots__ = ("value", "error_estimate", "evaluations", "stop_reason")
-
-    def __init__(self, value: float, error_estimate: float, evaluations: int, stop_reason: str):
-        set_value, set_error_estimate, set_evaluations, set_stop_reason = self._setters
-        set_value(self, value)
-        set_error_estimate(self, error_estimate)
-        set_evaluations(self, evaluations)
-        set_stop_reason(self, stop_reason)
 
     @property
     def converged(self) -> bool:
@@ -192,36 +176,6 @@ class VerificationReport(_Record):
         "passed",
         "evaluations",
     )
-
-    def __init__(
-        self,
-        profile: RadiusProfile,
-        analytic_pressure_drop: float,
-        numeric_pressure_drop: float,
-        relative_discrepancy: float,
-        oracle_error_estimate: float,
-        converged: bool,
-        passed: bool,
-        evaluations: int,
-    ):
-        (
-            set_profile,
-            set_analytic_pressure_drop,
-            set_numeric_pressure_drop,
-            set_relative_discrepancy,
-            set_oracle_error_estimate,
-            set_converged,
-            set_passed,
-            set_evaluations,
-        ) = self._setters
-        set_profile(self, profile)
-        set_analytic_pressure_drop(self, analytic_pressure_drop)
-        set_numeric_pressure_drop(self, numeric_pressure_drop)
-        set_relative_discrepancy(self, relative_discrepancy)
-        set_oracle_error_estimate(self, oracle_error_estimate)
-        set_converged(self, converged)
-        set_passed(self, passed)
-        set_evaluations(self, evaluations)
 
 
 def _panel(fn, a: float, b: float) -> tuple[float, float]:
@@ -272,7 +226,7 @@ def adaptive_integrate(
     # One comparison per bound refuses +-inf and an int such as 10**400 alike:
     # Python compares ints with floats exactly.  NaN passes on to the order check.
     if abs(lower) > _MAX or abs(upper) > _MAX:
-        raise QuadratureInputError(f"bounds must be finite, got [{lower!r}, {upper!r}]")
+        raise QuadratureInputError(f"bounds must be finite, got [{_shown(lower)}, {_shown(upper)}]")
     lower = float(lower)
     upper = float(upper)
     if not (upper > lower):
@@ -503,10 +457,10 @@ def verification_sweep(
     QuadratureInputError when ``trials`` is no integer of at least 1 or
     ``seed`` no non-negative integer.
     """
-    trials = _integer(trials, f"trials must be an integer, got {trials!r}")
+    trials = _integer(trials, f"trials must be an integer, got {_shown(trials)}")
     if trials < 1:
-        raise QuadratureInputError(f"trials must be >= 1, got {trials!r}")
-    message = f"seed must be a non-negative integer, got {seed!r}"
+        raise QuadratureInputError(f"trials must be >= 1, got {_shown(trials)}")
+    message = f"seed must be a non-negative integer, got {_shown(seed)}"
     seed_value = _integer(seed, message)
     if seed_value < 0:
         raise QuadratureInputError(message)

@@ -4,8 +4,9 @@ error, and never a warning.
 Hypothesis draws radii and lengths from all positive doubles, and flows,
 pressures, viscosities and positions from all doubles, NaN and the
 infinities included; each numeric argument is also given +-10**400, an int
-beyond the double range.  Each call below must return a finite answer or raise
-a CapillaryFlowError while warnings are errors.  The oracle must also stay
+beyond the double range, and +-10**5000, one too long for repr to print.
+Each call below must return a finite answer or raise a CapillaryFlowError
+while warnings are errors.  The oracle must also stay
 within 20 000 integrand evaluations, a converged oracle result must agree
 with a finite closed form within 1e-12, and a sampled radius must lie in
 [r_min, r_max].
@@ -182,7 +183,9 @@ BEYOND_DOUBLE = {
 
 
 @pytest.mark.parametrize(
-    "given", [10**400, -(10**400), math.inf, -math.inf], ids=["int-plus", "int-minus", "inf-plus", "inf-minus"]
+    "given",
+    [10**400, -(10**400), math.inf, -math.inf, 10**5000, -(10**5000)],
+    ids=["int-plus", "int-minus", "inf-plus", "inf-minus", "long-int-plus", "long-int-minus"],
 )
 @pytest.mark.parametrize("name", sorted(BEYOND_DOUBLE))
 def test_beyond_the_double_range(name, given):
